@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .errors import CapabilityError, TrialError
+from .errors import AntiwattError, CapabilityError, TrialError
 from .loadgen import LoadPlan, run_load, write_requests_csv
 from .orchestrator import ExperimentPlan, run_campaign
 from .reporting import REPORT_NAME, render_report, write_bundle
@@ -237,7 +237,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except TrialError as exc:
         print(f"antiwatt: trial failed during {exc.stage}: {exc.cause}", file=sys.stderr)
         return RUNTIME_EXIT
-    except (ValueError, OSError) as exc:
+    except (AntiwattError, ValueError, OSError) as exc:
+        # e.g. a singular design: the message names the offending column
         print(f"antiwatt: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

@@ -13,6 +13,7 @@ fresh connection; the retried request still yields exactly one record.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import http.client
 import logging
@@ -26,6 +27,8 @@ logger = logging.getLogger(__name__)
 
 REQUEST_TIMEOUT_S = 60.0  # generous: a timeout is a real failure, not noise
 FAILURE_BACKOFF_S = 0.1
+# records reach a RequestLog out of completion order by at most about this much
+APPEND_SLACK_S = 1.0
 
 # exceptions that mean "the server dropped our idle keep-alive socket"
 _STALE = (
@@ -104,10 +107,22 @@ class RequestLog:
             self._records.sort(key=lambda r: r.start)
 
     def recent_mean_rt(self, now_s: float, window_s: float = 1.0) -> Optional[float]:
-        """Mean rt of requests completing within the trailing window, or None."""
+        """Mean rt of requests completing within the trailing window, or None.
+
+        Users append records in completion order give or take
+        ``APPEND_SLACK_S``, so every record before one that completes that
+        long ahead of the window completes before the window too: a binary
+        search finds where the window's records start.
+        """
+        low = now_s - window_s
         with self._lock:
-            tail = self._records[-4096:]
-        rts = [r.response_time_ms for r in tail if now_s - window_s < r.completion_s <= now_s]
+            first = bisect.bisect_left(
+                self._records,
+                (low - APPEND_SLACK_S) * 1000.0,
+                key=lambda r: r.start + r.response_time_ms,
+            )
+            tail = self._records[first:]
+        rts = [r.response_time_ms for r in tail if low < r.completion_s <= now_s]
         if not rts:
             return None
         return sum(rts) / len(rts)

@@ -375,16 +375,24 @@ class ValidityReport:
         }
 
 
-def validity_check(ts: TraceSet, warmup_s: Optional[float] = None) -> ValidityReport:
+def validity_check(
+    ts: TraceSet,
+    warmup_s: Optional[float] = None,
+    *,
+    trimmed: Optional[TraceSet] = None,
+) -> ValidityReport:
     """The two run-validity rules: no failed requests, enough CPU demand.
 
     The utilization floor is 0.3 of one core expressed as a fraction of total
     host capacity (0.075 on four cores), averaged after the warm-up trim.
     Failures are counted over the whole run — a failure during warm-up
-    invalidates the trial just as much as a late one.
+    invalidates the trial just as much as a late one.  A caller that already
+    holds ``trim_warmup(ts, warmup_s)`` passes it as ``trimmed`` so the trace
+    is not trimmed twice.
     """
     failures = sum(1 for r in ts.requests if not r.success)
-    trimmed = trim_warmup(ts, warmup_s)
+    if trimmed is None:
+        trimmed = trim_warmup(ts, warmup_s)
     cores = ts.core_count
     threshold = CPU_FLOOR_PER_CORE / cores
     utils = [s.cpu_util for s in trimmed.resources]

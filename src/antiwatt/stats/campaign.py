@@ -205,7 +205,7 @@ def analyze_campaign(
                 mean_dram_power_w=_mean(table.column("dram_power_w")),
                 cpu_energy_kj=cpu_j / 1000.0,
                 dram_energy_kj=dram_j / 1000.0,
-                validity=validity_check(ts),
+                validity=validity_check(ts, trimmed=trimmed),
             )
         )
         timelines.append((name, build_timeline(ts)))

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from antiwatt.errors import UndefinedStatisticError
 from antiwatt.stats.regression import RegressionResult, ols_fit
@@ -32,6 +31,8 @@ def breusch_pagan(fit: RegressionResult, X: np.ndarray) -> DiagnosticResult:
     Auxiliary OLS of e² on X; LM = n·R²_aux; p from χ² with df = p−1.
     Constant residuals give LM = 0, p = 1.
     """
+    from scipy import stats as sps  # lazily, as in regression.infer_coefficient
+
     X = np.asarray(X, dtype=float)
     if X.shape != (fit.n, fit.p):
         raise ValueError("X does not match the fitted design")
@@ -67,6 +68,8 @@ def anderson_darling(residuals: Sequence[float]) -> DiagnosticResult:
     piecewise-exponential approximation of D'Agostino & Stephens (1986)
     for the normal family; `statistic` reports the adjusted A*².
     """
+    from scipy import stats as sps  # lazily, as in regression.infer_coefficient
+
     x = np.asarray(residuals, dtype=float)
     n = x.size
     if n < 8:

@@ -12,7 +12,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from antiwatt.errors import DegenerateInferenceError, SingularDesignError
 
@@ -149,6 +148,10 @@ def infer_coefficient(
     produce (hundreds to thousands of seconds) the t and normal references
     agree beyond reporting precision; t is used for finite-sample honesty.
     """
+    # imported here, not at module scope, so that commands that never compute
+    # a p-value (campaign, serve, load, report) start without scipy
+    from scipy import stats as sps
+
     beta_j = float(fit.beta[j])
     var = float(cov[j, j])
     if var < 0:

@@ -138,6 +138,24 @@ def test_recent_mean_rt_window():
     assert log.recent_mean_rt(base_s + 5.0) is None
 
 
+def test_recent_mean_rt_covers_every_completion_in_a_busy_window():
+    # 5000 completions inside one second: 1000 slow ones, then 4000 fast ones
+    base_ms = 1_700_000_000_000.0
+    records = [rec(base_ms - 500.0, 1.0)]  # completes before the window
+    records += [rec(base_ms + i * 0.2, 100.0 if i < 1000 else 10.0) for i in range(5000)]
+    log = make_log(records)
+    assert log.recent_mean_rt(base_ms / 1000.0 + 1.05) == pytest.approx(28.0)
+
+
+def test_recent_mean_rt_reads_past_a_record_appended_out_of_completion_order():
+    base_ms = 1_700_000_000_000.0
+    log = RequestLog()  # not finalized: records stay in append order
+    log.append(rec(base_ms + 90.0, 10.0))  # inside the window
+    log.append(rec(base_ms - 300.0, 100.0))  # completes before the window, appended late
+    log.append(rec(base_ms + 870.0, 30.0))
+    assert log.recent_mean_rt(base_ms / 1000.0 + 1.0) == pytest.approx(20.0)
+
+
 # ------------------------------------------------------------------------ csv
 
 

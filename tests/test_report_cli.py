@@ -209,6 +209,30 @@ def test_cli_requires_backend():
     assert "--backend" in proc.stderr
 
 
+def _scipy_loaded_after(code: str) -> bool:
+    """Run ``code`` in a fresh interpreter; is scipy imported at its end?"""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    return proc.stdout.strip().splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("module", ["antiwatt.cli", "antiwatt.workload.service"])
+def test_importing_an_entry_point_leaves_scipy_unloaded(module):
+    assert not _scipy_loaded_after(f"import {module}")
+
+
+def test_only_analyze_loads_scipy(tmp_path):
+    plan = synthetic_plan(tmp_path / "runs", duration_s=60.0, warmup_s=10.0,
+                          repetitions=1)
+    generate_campaign(plan, seed=3)
+    runs = tmp_path / "runs"
+    run = "import antiwatt.cli as cli\nassert cli.main({!r}) == 0"
+    assert _scipy_loaded_after(run.format(["analyze", str(runs)]))
+    assert not _scipy_loaded_after(run.format(["report", str(runs / "report")]))
+
+
 def test_cli_real_backend_checks_capability_first(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "rapl_available", lambda: False)
     rc = cli.main([
@@ -234,6 +258,24 @@ def test_cli_analyze_all_failed_campaign_is_runtime_error(tmp_path, capsys):
     rc = cli.main(["analyze", str(tmp_path / "runs")])
     assert rc == 4
     assert "no valid" in capsys.readouterr().err
+
+
+def test_cli_analyze_flat_memory_column_is_runtime_error_naming_it(tmp_path, capsys):
+    plan = synthetic_plan(tmp_path / "runs", duration_s=30.0, warmup_s=5.0,
+                          repetitions=1)
+    generate_campaign(plan, seed=1)
+    resources = tmp_path / "runs" / "rep-0" / "resources.csv"
+    with open(resources, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("memory_bytes")
+    for row in rows[1:]:
+        row[column] = "26202112"  # an RSS that never moves
+    with open(resources, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    rc = cli.main(["analyze", str(tmp_path / "runs")])
+    assert rc == 4
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last == "antiwatt: design matrix is singular; offending column: memory_bytes"
 
 
 def test_cli_report_on_non_bundle_is_runtime_error(tmp_path, capsys):
