@@ -19,7 +19,7 @@ from .stats.campaign import analyze_campaign_dir
 from .telemetry import SimPowerModel
 from .telemetry.rapl import available as rapl_available
 from .workload import DEFAULT_USERS, SLUG_TO_KIND, default_config
-from .workload.service import DEFAULT_POOL_SIZE, run_service
+from .workload.service import run_service
 
 log = logging.getLogger("antiwatt")
 
@@ -46,20 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    serve = sub.add_parser("serve", help="run one antipattern service in the foreground")
+    # the service's own flags are declared once, in workload.service, and
+    # reach it unparsed; -h/--help there lists them
+    serve = sub.add_parser(
+        "serve", add_help=False, help="run one antipattern service in the foreground"
+    )
     _common_flags(serve)
-    serve.add_argument("--antipattern", required=True, choices=_SLUGS)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    serve.add_argument("--scale", type=int, default=1)
-    serve.add_argument("--iterations", type=int, default=None)
-    serve.add_argument("--payload-size", type=int, default=None)
-    serve.add_argument("--workers", type=int, default=None)
-    serve.add_argument("--window-period-s", type=float, default=None)
-    serve.add_argument("--heavy-fraction", type=float, default=None)
-    serve.add_argument("--pin-core", default="auto")
-    serve.add_argument("--calibrate-target-ms", type=float, default=None)
-    serve.add_argument("--pool-size", type=int, default=DEFAULT_POOL_SIZE)
     serve.set_defaults(func=cmd_serve)
 
     load = sub.add_parser("load", help="drive closed-loop load against a running endpoint")
@@ -104,26 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    argv = [
-        "--antipattern", args.antipattern,
-        "--host", args.host,
-        "--port", str(args.port),
-        "--seed", str(args.seed if args.seed is not None else 1),
-        "--scale", str(args.scale),
-        "--pin-core", str(args.pin_core),
-        "--pool-size", str(args.pool_size),
-    ]
-    for flag, value in (
-        ("--iterations", args.iterations),
-        ("--payload-size", args.payload_size),
-        ("--workers", args.workers),
-        ("--window-period-s", args.window_period_s),
-        ("--heavy-fraction", args.heavy_fraction),
-        ("--calibrate-target-ms", args.calibrate_target_ms),
-    ):
-        if value is not None:
-            argv += [flag, str(value)]
-    return run_service(argv)
+    seed = [] if args.seed is None else ["--seed", str(args.seed)]
+    return run_service(args.service_argv + seed)
 
 
 def cmd_load(args: argparse.Namespace) -> int:
@@ -224,7 +198,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "serve":
+        args.service_argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",

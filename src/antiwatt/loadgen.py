@@ -20,7 +20,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 from urllib.parse import urlsplit
 
 logger = logging.getLogger(__name__)
@@ -245,51 +245,6 @@ def run_load(
         "load run complete: %d records, %d failures", len(log), log.failure_count
     )
     return log
-
-
-# ------------------------------------------------------------------- binning
-
-
-def _bin_of(completion_s: float, bin_s: int) -> int:
-    return int(completion_s // bin_s) * bin_s
-
-
-def bin_throughput(log: RequestLog, bin_s: int = 1) -> Dict[int, int]:
-    """Completed-request counts per wall-clock bin, contiguous over the run."""
-    if bin_s < 1:
-        raise ValueError("bin_s must be >= 1")
-    records = log.records
-    if not records:
-        return {}
-    bins = [_bin_of(r.completion_s, bin_s) for r in records]
-    counts = {b: 0 for b in range(min(bins), max(bins) + bin_s, bin_s)}
-    for b in bins:
-        counts[b] += 1
-    return counts
-
-
-def bin_response_time(log: RequestLog, bin_s: int = 1) -> Dict[int, Optional[float]]:
-    """Mean response time (ms) of requests COMPLETING in each bin.
-
-    Every record completing in a bin contributes to its mean. Bins inside the
-    run window with no completions are explicit ``None`` markers, never
-    interpolated.
-    """
-    if bin_s < 1:
-        raise ValueError("bin_s must be >= 1")
-    records = log.records
-    if not records:
-        return {}
-    sums: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for r in records:
-        b = _bin_of(r.completion_s, bin_s)
-        sums[b] = sums.get(b, 0.0) + r.response_time_ms
-        counts[b] = counts.get(b, 0) + 1
-    out: Dict[int, Optional[float]] = {}
-    for b in range(min(sums), max(sums) + bin_s, bin_s):
-        out[b] = sums[b] / counts[b] if b in sums else None
-    return out
 
 
 # ------------------------------------------------------------------ CSV forms

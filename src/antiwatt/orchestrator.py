@@ -1,14 +1,15 @@
-"""Trial and campaign orchestration.
+"""Trial and campaign orchestration: planning and running trials.
 
 One trial = fresh service process, health check, fresh-state probe, settle,
 1 Hz sampling during a closed-loop load run, teardown, cool-down, and a
 self-describing artifact directory (requests.csv, power.csv, resources.csv,
 meta.json).  Campaigns run trials sequentially — concurrent trials would
 contaminate the power signal — and keep going when an individual trial dies.
+The artifact format itself (file names, CSV writers and readers, loading,
+warm-up trimming, validity) lives in :mod:`.traces`.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import logging
@@ -25,55 +26,36 @@ from urllib.error import URLError
 from urllib.request import urlopen
 
 from .errors import CapabilityError, TrialError
-from .loadgen import (
-    LoadPlan,
-    RequestLog,
-    RequestRecord,
-    read_requests_csv,
-    run_load,
-    write_requests_csv,
-)
+from .loadgen import LoadPlan, RequestLog, run_load, write_requests_csv
 from .telemetry import (
-    PowerSample,
     ProcSampler,
     RaplPowerSource,
-    ResourceSample,
     SimPowerModel,
     SimPowerSource,
     available as rapl_available,
     run_sampler,
 )
-from .workload import WorkloadConfig, config_from_dict
+from .traces import (
+    CAMPAIGN_NAME,
+    MANIFEST_NAME,
+    META_NAME,
+    POWER_NAME,
+    REQUESTS_NAME,
+    RESOURCES_NAME,
+    RunArtifact,
+    write_power_csv,
+    write_resources_csv,
+)
+from .workload import WorkloadConfig
+from .workload.service import service_argv
 
 logger = logging.getLogger(__name__)
 
 REAL_BACKEND = "real"
 SIM_BACKEND = "sim"
 
-META_NAME = "meta.json"
-REQUESTS_NAME = "requests.csv"
-POWER_NAME = "power.csv"
-RESOURCES_NAME = "resources.csv"
-MANIFEST_NAME = "manifest.txt"
-CAMPAIGN_NAME = "campaign.json"
-
 # per-trial overhead beyond settle+duration+cooldown (launch, probe, teardown)
 LAUNCH_OVERHEAD_S = 5.0
-
-# mean post-warm-up utilization must reach 0.3 of one core, as a fraction of
-# total host capacity: 0.075 on a four-core box
-CPU_FLOOR_PER_CORE = 0.3
-
-_POWER_HEADER = ["t_s", "cpu_power_w", "dram_power_w"]
-_RESOURCE_HEADER = [
-    "t_s",
-    "cpu_util",
-    "memory_bytes",
-    "disk_read_bytes",
-    "disk_write_bytes",
-    "net_rx_bytes",
-    "net_tx_bytes",
-]
 
 
 # ----------------------------------------------------------------- the plan
@@ -128,284 +110,9 @@ class ExperimentPlan:
         return out
 
 
-def plan_from_dict(raw: dict) -> ExperimentPlan:
-    model = SimPowerModel(**raw["sim_model"]) if "sim_model" in raw else None
-    return ExperimentPlan(
-        workload=config_from_dict(raw["workload"]),
-        load=LoadPlan(**raw["load"]),
-        warmup_s=raw["warmup_s"],
-        cooldown_s=raw["cooldown_s"],
-        repetitions=raw["repetitions"],
-        power_backend=raw["power_backend"],
-        sim_model=model,
-        out_dir=raw["out_dir"],
-        settle_s=raw["settle_s"],
-        sample_interval_s=raw["sample_interval_s"],
-        pin_core=raw.get("pin_core", "off"),
-    )
-
-
 def estimate_campaign_s(plan: ExperimentPlan) -> float:
     per_trial = plan.settle_s + plan.load.duration_s + plan.cooldown_s + LAUNCH_OVERHEAD_S
     return plan.repetitions * per_trial
-
-
-# ------------------------------------------------------------ trace file io
-
-
-def write_power_csv(samples: Sequence[PowerSample], path: Union[str, Path]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_POWER_HEADER)
-        for s in samples:
-            writer.writerow([f"{s.t:.3f}", f"{s.cpu_power_w:.6f}", f"{s.dram_power_w:.6f}"])
-
-
-def read_power_csv(path: Union[str, Path]) -> List[PowerSample]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _POWER_HEADER:
-            raise ValueError(f"{path}: expected header {_POWER_HEADER}, got {header}")
-        return [PowerSample(float(t), float(cpu), float(dram)) for t, cpu, dram in reader]
-
-
-def _opt_int(cell: str) -> Optional[int]:
-    return int(cell) if cell != "" else None
-
-
-def write_resources_csv(samples: Sequence[ResourceSample], path: Union[str, Path]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_RESOURCE_HEADER)
-        for s in samples:
-            writer.writerow(
-                [
-                    f"{s.t:.3f}",
-                    f"{s.cpu_util:.6f}",
-                    "" if s.memory_bytes is None else s.memory_bytes,
-                    "" if s.disk_read_bytes is None else s.disk_read_bytes,
-                    "" if s.disk_write_bytes is None else s.disk_write_bytes,
-                    "" if s.net_rx_bytes is None else s.net_rx_bytes,
-                    "" if s.net_tx_bytes is None else s.net_tx_bytes,
-                ]
-            )
-
-
-def read_resources_csv(path: Union[str, Path]) -> List[ResourceSample]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _RESOURCE_HEADER:
-            raise ValueError(f"{path}: expected header {_RESOURCE_HEADER}, got {header}")
-        out = []
-        for row in reader:
-            out.append(
-                ResourceSample(
-                    t=float(row[0]),
-                    cpu_util=float(row[1]),
-                    memory_bytes=_opt_int(row[2]),
-                    disk_read_bytes=_opt_int(row[3]),
-                    disk_write_bytes=_opt_int(row[4]),
-                    net_rx_bytes=_opt_int(row[5]),
-                    net_tx_bytes=_opt_int(row[6]),
-                )
-            )
-        return out
-
-
-# -------------------------------------------------------------able artifacts
-
-
-@dataclass(frozen=True)
-class RunArtifact:
-    """Handle on one trial's directory."""
-
-    directory: Path
-
-    @property
-    def meta_path(self) -> Path:
-        return self.directory / META_NAME
-
-    def meta(self) -> dict:
-        with open(self.meta_path, encoding="utf-8") as fh:
-            return json.load(fh)
-
-    def is_ok(self) -> bool:
-        try:
-            return self.meta().get("status") == "ok"
-        except (OSError, json.JSONDecodeError):
-            return False
-
-
-@dataclass(frozen=True)
-class TraceSet:
-    """One trial's parsed traces; the unit the analysis pipeline consumes."""
-
-    meta: dict
-    requests: Tuple[RequestRecord, ...]
-    power: Tuple[PowerSample, ...]
-    resources: Tuple[ResourceSample, ...]
-
-    @property
-    def warmup_s(self) -> float:
-        return float(self.meta["plan"]["warmup_s"])
-
-    @property
-    def core_count(self) -> int:
-        return int(self.meta["host"]["core_count"])
-
-
-def load_artifact(artifact: Union[RunArtifact, str, Path]) -> TraceSet:
-    directory = artifact.directory if isinstance(artifact, RunArtifact) else Path(artifact)
-    meta_path = directory / META_NAME
-    if not meta_path.exists():
-        raise TrialError("read", FileNotFoundError(str(meta_path)))
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("status") != "ok":
-        raise TrialError("read", ValueError(f"{directory} is marked {meta.get('status')!r}"))
-    requests = read_requests_csv(directory / REQUESTS_NAME)
-    power = read_power_csv(directory / POWER_NAME)
-    resources = read_resources_csv(directory / RESOURCES_NAME)
-    return TraceSet(
-        meta=meta,
-        requests=tuple(requests.records),
-        power=tuple(power),
-        resources=tuple(resources),
-    )
-
-
-def verify_artifact(ts: TraceSet) -> List[str]:
-    """Consistency problems (empty list = artifact is self-consistent)."""
-    problems = []
-    for name, stream in (("power", ts.power), ("resources", ts.resources)):
-        if not stream:
-            problems.append(f"{name}.csv holds no samples")
-    if not ts.requests:
-        problems.append("requests.csv holds no records")
-    planned = float(ts.meta["plan"]["load"]["duration_s"])
-    for name, span in (
-        ("power", _span(s.t for s in ts.power)),
-        ("resources", _span(s.t for s in ts.resources)),
-        ("requests", _span(r.completion_s for r in ts.requests)),
-    ):
-        if span is not None and abs(span - planned) > 5.0:
-            problems.append(f"{name} span {span:.1f}s vs planned duration {planned:.1f}s")
-    return problems
-
-
-def _span(ts_iter) -> Optional[float]:
-    values = list(ts_iter)
-    if not values:
-        return None
-    return max(values) - min(values)
-
-
-# --------------------------------------------------------- warm-up trimming
-
-
-def trim_warmup(ts: TraceSet, warmup_s: Optional[float] = None) -> TraceSet:
-    """Drop everything before ``earliest timestamp + warmup_s``.
-
-    The anchor is the earliest instant seen across all three trace files, so
-    the cut is the same wall-clock moment for every stream.  Requests count
-    as inside the window when they *complete* inside it, matching the
-    completion-time binning used everywhere else.  Raw files are untouched;
-    this returns a trimmed view.
-    """
-    if warmup_s is None:
-        warmup_s = ts.warmup_s
-    if warmup_s < 0:
-        raise ValueError("warmup_s must be >= 0")
-    starts = []
-    ends = []
-    if ts.power:
-        starts.append(min(s.t for s in ts.power))
-        ends.append(max(s.t for s in ts.power))
-    if ts.resources:
-        starts.append(min(s.t for s in ts.resources))
-        ends.append(max(s.t for s in ts.resources))
-    if ts.requests:
-        # a record's timestamp is its completion, here as in binning
-        starts.append(min(r.completion_s for r in ts.requests))
-        ends.append(max(r.completion_s for r in ts.requests))
-    if not starts:
-        raise ValueError("cannot trim an empty trace set")
-    t0 = min(starts)
-    span = max(ends) - t0
-    if warmup_s >= span and warmup_s > 0:
-        raise ValueError(f"warm-up of {warmup_s:.0f}s swallows the whole {span:.0f}s trace")
-    cutoff = t0 + warmup_s
-    return TraceSet(
-        meta=ts.meta,
-        requests=tuple(r for r in ts.requests if r.completion_s >= cutoff),
-        power=tuple(s for s in ts.power if s.t >= cutoff),
-        resources=tuple(s for s in ts.resources if s.t >= cutoff),
-    )
-
-
-# -------------------------------------------------------------- validity
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    zero_failures: bool
-    cpu_floor: bool
-    failure_count: int
-    request_count: int
-    mean_cpu_util: float
-    cpu_floor_threshold: float
-    core_count: int
-
-    @property
-    def valid(self) -> bool:
-        return self.zero_failures and self.cpu_floor
-
-    def to_dict(self) -> dict:
-        return {
-            "zero_failures": self.zero_failures,
-            "cpu_floor": self.cpu_floor,
-            "valid": self.valid,
-            "failure_count": self.failure_count,
-            "request_count": self.request_count,
-            "mean_cpu_util": self.mean_cpu_util,
-            "cpu_floor_threshold": self.cpu_floor_threshold,
-            "core_count": self.core_count,
-        }
-
-
-def validity_check(
-    ts: TraceSet,
-    warmup_s: Optional[float] = None,
-    *,
-    trimmed: Optional[TraceSet] = None,
-) -> ValidityReport:
-    """The two run-validity rules: no failed requests, enough CPU demand.
-
-    The utilization floor is 0.3 of one core expressed as a fraction of total
-    host capacity (0.075 on four cores), averaged after the warm-up trim.
-    Failures are counted over the whole run — a failure during warm-up
-    invalidates the trial just as much as a late one.  A caller that already
-    holds ``trim_warmup(ts, warmup_s)`` passes it as ``trimmed`` so the trace
-    is not trimmed twice.
-    """
-    failures = sum(1 for r in ts.requests if not r.success)
-    if trimmed is None:
-        trimmed = trim_warmup(ts, warmup_s)
-    cores = ts.core_count
-    threshold = CPU_FLOOR_PER_CORE / cores
-    utils = [s.cpu_util for s in trimmed.resources]
-    mean_util = sum(utils) / len(utils) if utils else 0.0
-    return ValidityReport(
-        zero_failures=failures == 0,
-        cpu_floor=mean_util >= threshold,
-        failure_count=failures,
-        request_count=len(ts.requests),
-        mean_cpu_util=mean_util,
-        cpu_floor_threshold=threshold,
-        core_count=cores,
-    )
 
 
 # -------------------------------------------------------- trial execution
@@ -435,32 +142,8 @@ def _read_line_with_timeout(stream, timeout_s: float) -> Optional[str]:
 
 
 def _launch_service(plan: ExperimentPlan, rep_dir: Path):
-    cfg = plan.workload
-    argv = [
-        sys.executable,
-        "-m",
-        "antiwatt.workload.service",
-        "--antipattern",
-        cfg.kind.slug,
-        "--port",
-        "0",
-        "--seed",
-        str(cfg.dataset_seed),
-        "--scale",
-        str(cfg.dataset_scale),
-        "--iterations",
-        str(cfg.iterations),
-        "--payload-size",
-        str(cfg.payload_size),
-        "--workers",
-        str(cfg.worker_count),
-        "--window-period-s",
-        str(cfg.window_period_s),
-        "--heavy-fraction",
-        str(cfg.heavy_fraction),
-        "--pin-core",
-        plan.pin_core,
-    ]
+    argv = [sys.executable, "-m", "antiwatt.workload.service"]
+    argv += service_argv(plan.workload, plan.pin_core)
     service_log = open(rep_dir / "service.log", "wb")
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=service_log, text=True)
     service_log.close()
@@ -725,12 +408,3 @@ def run_campaign(plan: ExperimentPlan) -> CampaignResult:
         directory=out_dir, artifacts=tuple(artifacts), statuses=tuple(statuses)
     )
 
-
-def discover_artifacts(campaign_dir: Union[str, Path]) -> List[RunArtifact]:
-    """All rep-* artifacts under a campaign directory, ok or failed, in order."""
-    root = Path(campaign_dir)
-    reps = sorted(
-        (p for p in root.glob("rep-*") if p.is_dir()),
-        key=lambda p: int(p.name.split("-", 1)[1]),
-    )
-    return [RunArtifact(p) for p in reps]

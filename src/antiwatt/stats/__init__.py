@@ -1,11 +1,10 @@
 """Analysis pipeline: correlations, OLS + HC3 inference, diagnostics, energy."""
 
-from antiwatt.stats.align import AlignedRow, AlignedTable, align
+from antiwatt.stats.align import AlignedTable, TimelineRow, align, per_second
 from antiwatt.stats.campaign import (
     CampaignAnalysis,
     ModelReport,
     RunSummary,
-    TimelineRow,
     analyze_campaign,
     analyze_campaign_dir,
     build_timeline,
@@ -35,9 +34,9 @@ from antiwatt.stats.regression import (
 )
 
 __all__ = [
-    "AlignedRow",
     "AlignedTable",
     "align",
+    "per_second",
     "CampaignAnalysis",
     "ModelReport",
     "RunSummary",

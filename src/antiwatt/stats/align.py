@@ -1,11 +1,16 @@
-"""Per-second trace alignment: the table every downstream statistic eats.
+"""Per-second trace joins: the tables every downstream statistic eats.
 
-Power, resource, and request streams are sampled/recorded independently;
-analysis needs one row per second carrying all of them.  Rows exist only
-where a power sample, a resource sample, and at least one completed request
-share the same integer-second timestamp — seconds without completions are
-excluded rather than zero-filled (a fabricated 0 ms response time would
-claim perfect responsiveness), and negative power rows are dropped.
+Power, resource, and request streams are sampled/recorded independently.
+:func:`per_second` joins them on whole seconds: a sample belongs to
+``int(t)``, a request to the second it *completes* in, the first sample of
+a second wins and later ones count as duplicates.  Its rows cover every
+second any stream touches, which is the plot-ready timeline of a trial.
+
+:func:`align` keeps the rows the regressions can use: a power sample, a
+resource sample, and at least one successful completion in the same second.
+Seconds without completions are excluded rather than zero-filled (a
+fabricated 0 ms response time would claim perfect responsiveness); every
+exclusion is counted.
 """
 from __future__ import annotations
 
@@ -14,23 +19,26 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from antiwatt.errors import EmptyAlignmentError
 
-__all__ = ["AlignedRow", "AlignedTable", "align"]
+__all__ = ["AlignedTable", "TimelineRow", "align", "per_second"]
 
 
 @dataclass(frozen=True)
-class AlignedRow:
+class TimelineRow:
+    """One second of joined traces; a field no stream covers is None."""
+
     t: int  # epoch second
-    cpu_power_w: float
-    dram_power_w: float
-    rt_ms: float  # mean of completions in [t, t+1)
-    req_rate: float  # completions per second
-    cpu_util: float
+    rt_ms: Optional[float]  # mean of the successful completions in [t, t+1)
+    req_rate: int  # successful completions in [t, t+1)
+    failures: int  # failed completions in [t, t+1)
+    cpu_util: Optional[float]
     memory_bytes: Optional[int]
+    cpu_power_w: Optional[float]
+    dram_power_w: Optional[float]
 
 
 @dataclass(frozen=True)
 class AlignedTable:
-    rows: Tuple[AlignedRow, ...]
+    rows: Tuple[TimelineRow, ...]
     exclusions: Dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -60,88 +68,89 @@ class AlignedTable:
         return AlignedTable(rows=self.rows + other.rows, exclusions=exclusions)
 
 
-def _power_fields(sample) -> Tuple[float, float, float]:
-    # accepts PowerSample objects or plain (t, cpu_w, dram_w) rows
-    if hasattr(sample, "cpu_power_w"):
-        return sample.t, sample.cpu_power_w, sample.dram_power_w
-    t, cpu, dram = sample
-    return float(t), float(cpu), float(dram)
+def _first_per_second(samples: Iterable) -> Tuple[Dict[int, object], int]:
+    """The first sample of each whole second, and how many later ones were dropped."""
+    by_second: Dict[int, object] = {}
+    duplicates = 0
+    for sample in samples:
+        second = int(sample.t)
+        if second in by_second:
+            duplicates += 1
+        else:
+            by_second[second] = sample
+    return by_second, duplicates
+
+
+def per_second(
+    power: Iterable, resources: Iterable, requests: Iterable
+) -> Tuple[Tuple[TimelineRow, ...], int]:
+    """Outer join of the three streams on whole seconds, in time order.
+
+    ``requests`` are records with ``completion_s``, ``response_time_ms`` and
+    ``success``; a second's rt is the mean of its successful completions,
+    summed in record order.  Returns the rows and the number of power and
+    resource samples dropped because their second was already filled.
+    """
+    power_by_s, power_dupes = _first_per_second(power)
+    res_by_s, res_dupes = _first_per_second(resources)
+    rt_sum: Dict[int, float] = {}
+    ok_count: Dict[int, int] = {}
+    failures: Dict[int, int] = {}
+    for record in requests:
+        second = int(record.completion_s)
+        if record.success:
+            rt_sum[second] = rt_sum.get(second, 0.0) + record.response_time_ms
+            ok_count[second] = ok_count.get(second, 0) + 1
+        else:
+            failures[second] = failures.get(second, 0) + 1
+    rows = []
+    for second in sorted(set(power_by_s) | set(res_by_s) | set(ok_count) | set(failures)):
+        p = power_by_s.get(second)
+        r = res_by_s.get(second)
+        n_ok = ok_count.get(second, 0)
+        rows.append(
+            TimelineRow(
+                t=second,
+                rt_ms=rt_sum[second] / n_ok if n_ok else None,
+                req_rate=n_ok,
+                failures=failures.get(second, 0),
+                cpu_util=r.cpu_util if r else None,
+                memory_bytes=r.memory_bytes if r else None,
+                cpu_power_w=p.cpu_power_w if p else None,
+                dram_power_w=p.dram_power_w if p else None,
+            )
+        )
+    return tuple(rows), power_dupes + res_dupes
 
 
 def align(power: Iterable, resources: Iterable, requests: Sequence) -> AlignedTable:
-    """Join the three streams on integer-second timestamps.
+    """The :func:`per_second` rows that carry power, resources and a completion.
 
-    ``requests`` are records with ``completion_s`` and ``response_time_ms``;
-    only successful ones contribute to the per-second response-time mean and
-    rate.  Raises :class:`EmptyAlignmentError` when nothing survives.
+    Failed requests never count toward rt or rate.  Raises
+    :class:`EmptyAlignmentError` when nothing survives.
     """
+    rows, duplicates = per_second(power, resources, requests)
     exclusions: Dict[str, int] = {
-        "negative_power": 0,
-        "duplicate_second": 0,
+        "duplicate_second": duplicates,
         "no_power": 0,
         "no_resource": 0,
         "no_completions": 0,
         "failed_request": 0,
     }
-
-    power_by_s: Dict[int, Tuple[float, float]] = {}
-    for sample in power:
-        t, cpu, dram = _power_fields(sample)
-        if cpu < 0 or dram < 0:
-            exclusions["negative_power"] += 1
-            continue
-        second = int(t)
-        if second in power_by_s:
-            exclusions["duplicate_second"] += 1
-            continue
-        power_by_s[second] = (cpu, dram)
-
-    res_by_s: Dict[int, Tuple[float, Optional[int]]] = {}
-    for sample in resources:
-        second = int(sample.t)
-        if second in res_by_s:
-            exclusions["duplicate_second"] += 1
-            continue
-        res_by_s[second] = (sample.cpu_util, sample.memory_bytes)
-
-    rt_sum: Dict[int, float] = {}
-    rt_count: Dict[int, int] = {}
-    for record in requests:
-        if not record.success:
-            exclusions["failed_request"] += 1
-            continue
-        second = int(record.completion_s)
-        rt_sum[second] = rt_sum.get(second, 0.0) + record.response_time_ms
-        rt_count[second] = rt_count.get(second, 0) + 1
-
-    rows: List[AlignedRow] = []
-    for second in sorted(power_by_s):
-        if second not in res_by_s:
+    kept: List[TimelineRow] = []
+    for row in rows:
+        exclusions["failed_request"] += row.failures
+        if row.cpu_power_w is None:
+            if row.cpu_util is not None and row.req_rate:
+                exclusions["no_power"] += 1
+        elif row.cpu_util is None:
             exclusions["no_resource"] += 1
-            continue
-        if second not in rt_count:
+        elif not row.req_rate:
             exclusions["no_completions"] += 1
-            continue
-        cpu_w, dram_w = power_by_s[second]
-        util, memory = res_by_s[second]
-        count = rt_count[second]
-        rows.append(
-            AlignedRow(
-                t=second,
-                cpu_power_w=cpu_w,
-                dram_power_w=dram_w,
-                rt_ms=rt_sum[second] / count,
-                req_rate=float(count),
-                cpu_util=util,
-                memory_bytes=memory,
-            )
-        )
-    exclusions["no_power"] = sum(
-        1 for second in res_by_s if second in rt_count and second not in power_by_s
-    )
-
-    if not rows:
+        else:
+            kept.append(row)
+    if not kept:
         raise EmptyAlignmentError(
             "no second carries power, resources, and at least one completion"
         )
-    return AlignedTable(rows=tuple(rows), exclusions={k: v for k, v in exclusions.items() if v})
+    return AlignedTable(rows=tuple(kept), exclusions={k: v for k, v in exclusions.items() if v})

@@ -13,16 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from antiwatt.orchestrator import (
-    RunArtifact,
-    TraceSet,
-    ValidityReport,
-    discover_artifacts,
-    load_artifact,
-    trim_warmup,
-    validity_check,
-)
-from antiwatt.stats.align import AlignedTable, align
+from antiwatt.stats.align import AlignedTable, TimelineRow, align, per_second
 from antiwatt.stats.core import CorrelationPair, DescriptiveStats, correlation_pair, describe
 from antiwatt.stats.diagnostics import DiagnosticResult, anderson_darling, breusch_pagan
 from antiwatt.stats.energy import trapezoid_energy
@@ -35,6 +26,15 @@ from antiwatt.stats.regression import (
     hc3_covariance,
     infer_coefficient,
     ols_fit,
+)
+from antiwatt.traces import (
+    RunArtifact,
+    TraceSet,
+    ValidityReport,
+    discover_artifacts,
+    load_artifact,
+    trim_warmup,
+    validity_check,
 )
 
 logger = logging.getLogger(__name__)
@@ -77,20 +77,6 @@ class RunSummary:
 
 
 @dataclass(frozen=True)
-class TimelineRow:
-    """One second of the untrimmed trace, for plot-ready export."""
-
-    t: int
-    rt_ms: Optional[float]
-    req_rate: int
-    failures: int
-    cpu_util: Optional[float]
-    memory_bytes: Optional[int]
-    cpu_power_w: Optional[float]
-    dram_power_w: Optional[float]
-
-
-@dataclass(frozen=True)
 class CampaignAnalysis:
     antipattern: str
     alpha: float
@@ -114,39 +100,8 @@ class CampaignAnalysis:
 
 def build_timeline(ts: TraceSet) -> Tuple[TimelineRow, ...]:
     """Per-second outer join over the whole (untrimmed) trial."""
-    rt_sum: Dict[int, float] = {}
-    ok_count: Dict[int, int] = {}
-    failures: Dict[int, int] = {}
-    for record in ts.requests:
-        second = int(record.completion_s)
-        if record.success:
-            rt_sum[second] = rt_sum.get(second, 0.0) + record.response_time_ms
-            ok_count[second] = ok_count.get(second, 0) + 1
-        else:
-            failures[second] = failures.get(second, 0) + 1
-    power = {int(s.t): s for s in reversed(ts.power)}
-    resources = {int(s.t): s for s in reversed(ts.resources)}
-    seconds = sorted(
-        set(power) | set(resources) | set(ok_count) | set(failures)
-    )
-    rows = []
-    for second in seconds:
-        p = power.get(second)
-        r = resources.get(second)
-        n_ok = ok_count.get(second, 0)
-        rows.append(
-            TimelineRow(
-                t=second,
-                rt_ms=rt_sum[second] / n_ok if n_ok else None,
-                req_rate=n_ok,
-                failures=failures.get(second, 0),
-                cpu_util=r.cpu_util if r else None,
-                memory_bytes=r.memory_bytes if r else None,
-                cpu_power_w=p.cpu_power_w if p else None,
-                dram_power_w=p.dram_power_w if p else None,
-            )
-        )
-    return tuple(rows)
+    rows, _duplicates = per_second(ts.power, ts.resources, ts.requests)
+    return rows
 
 
 def _fit_model(name: str, table: AlignedTable, alpha: float) -> ModelReport:

@@ -1,7 +1,7 @@
 """Time-compressed synthetic campaigns.
 
-Writes artifact directories byte-compatible with what :mod:`.orchestrator`
-produces from live trials, but generated in milliseconds from a seed: a
+Writes artifact directories in the :mod:`.traces` format, byte-compatible
+with what :mod:`.orchestrator` produces from live trials, but generated in milliseconds from a seed: a
 known warm-up transient, a steady regime with planted response-time /
 utilization structure, and power from the simulated model.  This is the
 workhorse for exercising the analysis pipeline end to end — planted
@@ -19,20 +19,21 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .loadgen import LoadPlan, RequestLog, RequestRecord, write_requests_csv
 from .orchestrator import (
-    CAMPAIGN_NAME,
+    CampaignResult,
+    ExperimentPlan,
+    estimate_campaign_s,
+    write_campaign_summary,
+)
+from .telemetry import PowerSample, ResourceSample, SimPowerModel, simulate_power
+from .traces import (
     META_NAME,
     POWER_NAME,
     REQUESTS_NAME,
     RESOURCES_NAME,
-    CampaignResult,
-    ExperimentPlan,
     RunArtifact,
-    estimate_campaign_s,
-    write_campaign_summary,
     write_power_csv,
     write_resources_csv,
 )
-from .telemetry import PowerSample, ResourceSample, SimPowerModel, simulate_power
 from .workload import AntipatternKind, default_config
 
 EPOCH_BASE = 1_700_000_000

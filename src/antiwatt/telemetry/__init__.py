@@ -7,7 +7,6 @@ from .rapl import (
     RaplPowerSource,
     available,
     power_from_deltas,
-    read_energy,
 )
 from .sampler import SamplerResult, run_sampler
 from .sim import SimPowerModel, SimPowerSource, simulate_power
@@ -27,7 +26,6 @@ __all__ = [
     "SimPowerSource",
     "available",
     "power_from_deltas",
-    "read_energy",
     "run_sampler",
     "simulate_power",
 ]

@@ -13,14 +13,13 @@ interval; counter wraps are corrected per zone before summing.
 from __future__ import annotations
 
 import logging
-import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import CapabilityError
 from .base import CPU_PACKAGE, DRAM, PowerSample, ResourceSample
+from .procfs import _proc_cpu_seconds
 
 logger = logging.getLogger(__name__)
 
@@ -86,45 +85,6 @@ def available(sysfs_root: str = DEFAULT_SYSFS_ROOT) -> bool:
     return False
 
 
-def read_energy(
-    domain: str,
-    sysfs_root: str = DEFAULT_SYSFS_ROOT,
-    t_ms: Optional[float] = None,
-) -> EnergyReading:
-    """Read the current energy counter for *domain*, summing matching zones.
-
-    Summed readings are suitable for snapshots; for continuous power sampling
-    use :class:`RaplPowerSource`, which corrects wraps per zone before
-    aggregation.
-
-    Raises:
-        CapabilityError: when no readable counter exposes this domain.
-    """
-    if domain not in (CPU_PACKAGE, DRAM):
-        raise ValueError(f"unknown RAPL domain {domain!r}")
-    root = Path(sysfs_root)
-    zones = _zones_for_domain(root, domain) if root.is_dir() else []
-    energy = 0
-    max_range = 0
-    read_any = False
-    for zone in zones:
-        try:
-            energy += _read_int(zone / "energy_uj")
-            max_range += _read_int(zone / "max_energy_range_uj")
-            read_any = True
-        except (OSError, ValueError) as exc:
-            logger.warning("skipping unreadable RAPL zone %s: %s", zone, exc)
-    if not read_any:
-        raise CapabilityError(
-            f"no readable RAPL {domain} counter under {sysfs_root}; "
-            "this host cannot measure power — use the simulated backend "
-            "(--backend sim)"
-        )
-    if t_ms is None:
-        t_ms = time.time() * 1000.0
-    return EnergyReading(domain=domain, energy_uj=energy, max_range_uj=max_range, t=t_ms)
-
-
 def power_from_deltas(prev: EnergyReading, curr: EnergyReading) -> float:
     """Average watts between two readings of the same domain.
 
@@ -140,14 +100,6 @@ def power_from_deltas(prev: EnergyReading, curr: EnergyReading) -> float:
     if delta_uj < 0:
         delta_uj = curr.max_range_uj - prev.energy_uj + curr.energy_uj
     return delta_uj / (dt_ms * 1000.0)
-
-
-def _read_proc_jiffies(stat_path: Path) -> int:
-    """utime+stime of a process, in clock ticks, from /proc/<pid>/stat."""
-    raw = stat_path.read_text()
-    # comm may contain spaces/parens; fields resume after the last ')'
-    rest = raw[raw.rindex(")") + 2 :].split()
-    return int(rest[11]) + int(rest[12])  # fields 14 and 15, 1-indexed
 
 
 def _read_host_busy_jiffies(stat_path: Path) -> int:
@@ -193,7 +145,7 @@ class RaplPowerSource:
         self._proc_root = Path(proc_root)
         # per-zone (energy_uj, t_ms) baselines
         self._prev: Dict[Path, Tuple[int, float]] = {}
-        self._prev_jiffies: Optional[Tuple[int, int]] = None  # (proc, host busy)
+        self._prev_jiffies: Optional[Tuple[float, int]] = None  # (proc, host busy)
         self._ranges: Dict[Path, int] = {}
 
     def _read_zone(self, zone: Path) -> int:
@@ -219,9 +171,10 @@ class RaplPowerSource:
             )
         return watts
 
-    def _jiffies(self) -> Tuple[int, int]:
+    def _jiffies(self) -> Tuple[float, int]:
+        # both in clock ticks: a clock-tick rate of 1 leaves utime+stime unscaled
         busy = _read_host_busy_jiffies(self._proc_root / "stat")
-        proc = _read_proc_jiffies(self._proc_root / str(self._target_pid) / "stat")
+        proc = _proc_cpu_seconds(self._proc_root / str(self._target_pid) / "stat", 1.0)
         return proc, busy
 
     def prime(self, t: float) -> None:

@@ -46,8 +46,6 @@ def run_sampler(
     interval_s: float = 1.0,
     rt_provider: Optional[Callable[[], Optional[float]]] = None,
     max_ticks: Optional[int] = None,
-    on_power: Optional[Callable[[PowerSample], None]] = None,
-    on_resource: Optional[Callable[[ResourceSample], None]] = None,
     clock: MonotonicClock = time.monotonic,
     wall: WallClock = time.time,
     sleep: Sleeper = time.sleep,
@@ -55,9 +53,7 @@ def run_sampler(
     """Sample until *stop_event* is set (or *max_ticks* reached).
 
     ``rt_provider`` supplies the current binned response time to simulated
-    backends; real backends ignore it. ``on_power`` / ``on_resource`` sinks
-    are invoked per sample in addition to result accumulation and must be
-    safe to call from this thread while others read.
+    backends; real backends ignore it.
     """
     if interval_s <= 0:
         raise ValueError("interval_s must be positive")
@@ -108,10 +104,6 @@ def run_sampler(
             break
         if resource is not None:
             result.resources.append(resource)
-            if on_resource is not None:
-                on_resource(resource)
         if power is not None:
             result.power.append(power)
-            if on_power is not None:
-                on_power(power)
     return result

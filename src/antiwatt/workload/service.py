@@ -297,6 +297,21 @@ def config_from_args(args: argparse.Namespace) -> WorkloadConfig:
     return default_config(SLUG_TO_KIND[args.antipattern], **overrides)
 
 
+def service_argv(config: WorkloadConfig, pin_core: str) -> list[str]:
+    """The service's command-line flags for *config*; the inverse of config_from_args."""
+    return [
+        "--antipattern", config.kind.slug,
+        "--seed", str(config.dataset_seed),
+        "--scale", str(config.dataset_scale),
+        "--iterations", str(config.iterations),
+        "--payload-size", str(config.payload_size),
+        "--workers", str(config.worker_count),
+        "--window-period-s", str(config.window_period_s),
+        "--heavy-fraction", str(config.heavy_fraction),
+        "--pin-core", pin_core,
+    ]
+
+
 def run_service(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     args = build_arg_parser().parse_args(argv)

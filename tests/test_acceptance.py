@@ -15,15 +15,7 @@ import time
 import pytest
 
 from antiwatt.loadgen import LoadPlan, RequestRecord, run_load
-from antiwatt.orchestrator import (
-    ExperimentPlan,
-    TraceSet,
-    discover_artifacts,
-    load_artifact,
-    run_campaign,
-    trim_warmup,
-    validity_check,
-)
+from antiwatt.orchestrator import ExperimentPlan, run_campaign
 from antiwatt.stats.campaign import analyze_campaign
 from antiwatt.stats.core import correlation_pair, pearson, spearman
 from antiwatt.stats.diagnostics import anderson_darling, breusch_pagan
@@ -42,6 +34,13 @@ from antiwatt.telemetry.rapl import (
     RaplPowerSource,
     available as rapl_available,
     power_from_deltas,
+)
+from antiwatt.traces import (
+    TraceSet,
+    discover_artifacts,
+    load_artifact,
+    trim_warmup,
+    validity_check,
 )
 from antiwatt.workload import AntipatternKind, default_config
 from antiwatt.workload.handlers import (

@@ -1,19 +1,20 @@
-"""Alignment rules and campaign-level analysis."""
+"""Per-second joins, alignment rules and campaign-level analysis."""
 import math
 
 import pytest
 
 from antiwatt.errors import EmptyAlignmentError
 from antiwatt.loadgen import RequestRecord
-from antiwatt.orchestrator import load_artifact
 from antiwatt.stats import (
     align,
     analyze_campaign,
     analyze_campaign_dir,
     build_timeline,
+    per_second,
 )
 from antiwatt.synthetic import generate_campaign, generate_trial, synthetic_plan
 from antiwatt.telemetry import PowerSample, ResourceSample, SimPowerModel
+from antiwatt.traces import TraceSet, load_artifact, read_power_csv
 
 T0 = 1_700_000_000
 
@@ -31,6 +32,74 @@ def request_row(k, rt=40.0, success=True, frac=0.5):
     return RequestRecord(
         start=completion - rt, response_time_ms=rt, success=success, user_id=0
     )
+
+
+# ------------------------------------------------------------- per_second
+
+
+def test_per_second_of_empty_streams_is_empty():
+    assert per_second([], [], []) == ((), 0)
+
+
+def test_per_second_assigns_a_request_by_its_completion_second():
+    # starts at .950 with 100 ms rt: completes in the NEXT second
+    late = request_row(1, rt=100.0, frac=0.05)
+    assert int(late.start // 1000) == T0
+    (row,), _ = per_second([], [], [late])
+    assert row.t == T0 + 1
+    assert row.rt_ms == pytest.approx(100.0) and row.req_rate == 1
+
+
+def test_per_second_gives_a_lone_request_its_own_rt():
+    (row,), _ = per_second([], [], [request_row(0, rt=40.0)])
+    assert row.t == T0
+    assert row.rt_ms == 40.0 and row.req_rate == 1 and row.failures == 0
+
+
+def test_per_second_rt_is_the_mean_of_the_successes_only():
+    requests = [
+        request_row(0, rt=10.0, frac=0.1),
+        request_row(0, rt=30.0, frac=0.2),
+        request_row(0, rt=9999.0, success=False, frac=0.3),
+    ]
+    (row,), _ = per_second([], [], requests)
+    assert row.rt_ms == pytest.approx(20.0)
+    assert row.req_rate == 2 and row.failures == 1
+
+
+def test_per_second_counts_successes_and_failures_per_second():
+    requests = [
+        request_row(s, rt=5.0, success=i % 3 != 0, frac=(i + 0.5) / 10)
+        for s in range(10)
+        for i in range(10)
+    ]
+    rows, _ = per_second([], [], requests)
+    assert [row.t for row in rows] == [T0 + s for s in range(10)]
+    assert all(row.req_rate == 6 and row.failures == 4 for row in rows)
+    assert sum(row.req_rate + row.failures for row in rows) == len(requests)
+
+
+def test_per_second_counts_every_request_completing_in_one_second():
+    requests = [request_row(0, rt=1.0, frac=i / 1000) for i in range(10)]
+    (row,), _ = per_second([], [], requests)
+    assert row.t == T0 and row.req_rate == 10
+
+
+def test_per_second_second_covered_only_by_power_has_no_rt():
+    power = [power_row(k) for k in range(4)]
+    requests = [request_row(k, rt=100.0 + k) for k in (0, 1, 3)]  # second 2 is silent
+    rows, _ = per_second(power, [], requests)
+    assert [row.rt_ms for row in rows] == [100.0, 101.0, None, 103.0]
+    assert rows[2].req_rate == 0 and rows[2].failures == 0
+    assert rows[2].cpu_power_w == 10.0 and rows[2].cpu_util is None
+
+
+def test_per_second_counts_later_samples_of_a_filled_second_as_duplicates():
+    power = [power_row(0, cpu=10.0), PowerSample(T0 + 0.5, 99.0, 9.0), power_row(1)]
+    resources = [res_row(0, util=0.2), ResourceSample(T0 + 0.9, 0.9), res_row(1)]
+    rows, duplicates = per_second(power, resources, [])
+    assert duplicates == 2
+    assert [(row.cpu_power_w, row.cpu_util) for row in rows] == [(10.0, 0.2), (10.0, 0.2)]
 
 
 # ------------------------------------------------------------------ align
@@ -57,13 +126,12 @@ def test_align_rt_is_the_mean_of_the_seconds_completions():
     assert row.req_rate == 2.0
 
 
-def test_align_excludes_negative_power_rows():
-    power = [(T0 + 0, 10.0, 1.0), (T0 + 1, -0.5, 1.0), (T0 + 2, 10.0, 1.0)]
-    resources = [res_row(k) for k in range(3)]
-    requests = [request_row(k) for k in range(3)]
-    table = align(power, resources, requests)
-    assert len(table) == 2
-    assert table.exclusions["negative_power"] == 1
+def test_read_power_csv_rejects_a_negative_reading(tmp_path):
+    # align never sees negative power: no power.csv holding it can be read
+    path = tmp_path / "power.csv"
+    path.write_text(f"t_s,cpu_power_w,dram_power_w\n{T0}.000,10.0,1.0\n{T0 + 1}.000,-0.5,1.0\n")
+    with pytest.raises(ValueError, match="non-negative"):
+        read_power_csv(path)
 
 
 def test_align_excludes_seconds_without_completions():
@@ -133,8 +201,6 @@ def test_timeline_outer_joins_and_counts_failures(tmp_path):
 
 
 def test_timeline_marks_second_without_completions(tmp_path):
-    from antiwatt.orchestrator import TraceSet
-
     ts = TraceSet(
         meta={"plan": {"warmup_s": 0}, "host": {"core_count": 1}},
         requests=(request_row(0), request_row(2, success=False)),

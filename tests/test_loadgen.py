@@ -1,4 +1,4 @@
-"""Load driver: spawn schedule, closed-loop runs, binning, CSV round-trip."""
+"""Load driver: spawn schedule, closed-loop runs, recent rt, CSV round-trip."""
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -9,8 +9,6 @@ from antiwatt.loadgen import (
     LoadPlan,
     RequestLog,
     RequestRecord,
-    bin_response_time,
-    bin_throughput,
     read_requests_csv,
     run_load,
     spawn_schedule,
@@ -59,7 +57,7 @@ def test_schedule_thirty_users_second_buckets():
         assert int(off // 1000) == i // 10  # users 0-9 in s0, 10-19 in s1, 20-29 in s2
 
 
-# -------------------------------------------------------------------- binning
+# ---------------------------------------------------------------- recent rt
 
 
 def rec(start_ms, rt_ms, ok=True, user=0):
@@ -72,63 +70,6 @@ def make_log(records):
         log.append(r)
     log.finalize()
     return log
-
-
-def test_bin_empty_log():
-    assert bin_throughput(make_log([])) == {}
-    assert bin_response_time(make_log([])) == {}
-
-
-def test_bin_throughput_single_second():
-    base = 1_700_000_000_000.0
-    log = make_log([rec(base + i, 1.0) for i in range(10)])
-    assert bin_throughput(log) == {1_700_000_000: 10}
-
-
-def test_bin_throughput_uniform():
-    base = 1_700_000_000_000.0
-    log = make_log([rec(base + s * 1000 + (i % 10) * 90, 5.0) for s in range(10) for i in range(10)])
-    counts = bin_throughput(log)
-    assert len(counts) == 10
-    assert all(v == 10 for v in counts.values())
-    assert sum(counts.values()) == len(log.records)
-
-
-def test_bin_rt_single_record():
-    log = make_log([rec(1_700_000_000_500.0, 40.0)])
-    assert bin_response_time(log) == {1_700_000_000: 40.0}
-
-
-def test_bin_rt_two_records_mean():
-    base = 1_700_000_000_000.0
-    log = make_log([rec(base + 100, 10.0), rec(base + 200, 30.0)])
-    assert bin_response_time(log)[1_700_000_000] == pytest.approx(20.0)
-
-
-def test_bin_rt_assigns_by_completion_not_start():
-    # starts at .950 with 100 ms rt: completes in the NEXT second
-    log = make_log([rec(1_700_000_000_950.0, 100.0)])
-    assert bin_response_time(log) == {1_700_000_001: 100.0}
-
-
-def test_bin_rt_staircase_and_gaps():
-    base = 1_700_000_000_000.0
-    records = []
-    for s in (0, 1, 3):  # second 2 is silent
-        planted = 100.0 + s
-        records += [rec(base + s * 1000 + 10 * i, planted) for i in range(5)]
-    rt = bin_response_time(make_log(records))
-    assert rt[1_700_000_000] == pytest.approx(100.0)
-    assert rt[1_700_000_001] == pytest.approx(101.0)
-    assert rt[1_700_000_002] is None
-    assert rt[1_700_000_003] == pytest.approx(103.0)
-
-
-def test_bin_rejects_bad_width():
-    with pytest.raises(ValueError):
-        bin_throughput(make_log([]), bin_s=0)
-    with pytest.raises(ValueError):
-        bin_response_time(make_log([]), bin_s=0)
 
 
 def test_recent_mean_rt_window():

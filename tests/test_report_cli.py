@@ -1,5 +1,6 @@
 """Report bundle serialization and the antiwatt CLI."""
 import csv
+import hashlib
 import subprocess
 import sys
 import threading
@@ -21,7 +22,7 @@ from antiwatt.reporting import (
 from antiwatt.stats.campaign import analyze_campaign
 from antiwatt.synthetic import generate_campaign, synthetic_plan
 from antiwatt.workload import AntipatternKind, default_config
-from antiwatt.workload.service import serve
+from antiwatt.workload.service import build_arg_parser, config_from_args, serve, service_argv
 
 
 def read_rows(path: Path):
@@ -233,6 +234,43 @@ def test_only_analyze_loads_scipy(tmp_path):
     assert not _scipy_loaded_after(run.format(["report", str(runs / "report")]))
 
 
+@pytest.mark.parametrize("module", ["antiwatt.stats.campaign", "antiwatt.reporting"])
+def test_the_analysis_layer_does_not_import_the_orchestrator(module):
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}\nprint('antiwatt.orchestrator' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+# sha256 of every bundle file of the campaign below: a change to these bytes
+# is a change to what the report says, and needs a reason
+PINNED_BUNDLE = {
+    "correlations.csv": "696bd553c971532c3ddeccb824e9ddce074f05e9e50be24c012db2dead0cd671",
+    "descriptive.csv": "32de42c86914ef9a7cde2d37f31395731ecc16a9bbe51782e7e78f98e2d6f27d",
+    "diagnostics.csv": "6cffdc2f6a40d6940483f85cc30985b92dc322f0cff76df451a6fb404afbf4f3",
+    "energy.csv": "17d68e93f6c2d1b1e278ecdc5d87446935bad5bc2431d4ea4293d921e6306930",
+    "regression.csv": "b45c7778b64832a91bfc9f50f24bff59a08877a0fad5308dd6cd53be6bca0e51",
+    "report.md": "7b9df864c18c715ac7b0034e934f4962f5ac59e09ff377d3d50b4cfb78f6a59f",
+    "runs.csv": "ca08eceb010f8d56f2519d930ccc742f1b7d56a037b9ff0c9e1aa4d0f9dc8b20",
+    "traces/rep-0/timeline.csv": "a276c3b8d9a884e0a38884460e9c71ab29e13b3b8035349f243da9e81f41a383",
+    "traces/rep-2/timeline.csv": "38dade3560b030bc0dd1a6e2fa37a0322d6bbc3b45f3372f37e3e8fb29f8a643",
+}
+
+
+def test_bundle_bytes_are_pinned(tmp_path):
+    plan = synthetic_plan(tmp_path / "runs", duration_s=60, warmup_s=10, repetitions=3, seed=5)
+    generate_campaign(plan, seed=5, fail_reps={1})
+    out = tmp_path / "bundle"
+    assert cli.main(["analyze", str(tmp_path / "runs"), "--out", str(out)]) == 0
+    got = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+    assert got == PINNED_BUNDLE
+
+
 def test_cli_real_backend_checks_capability_first(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "rapl_available", lambda: False)
     rc = cli.main([
@@ -398,6 +436,16 @@ def test_cli_serve_delegates_all_flags(monkeypatch):
     assert pairs["--workers"] == "8"
     assert pairs["--pin-core"] == "off"
     assert "--iterations" not in pairs  # unset optionals stay unset
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [default_config(kind, dataset_seed=7, dataset_scale=2) for kind in AntipatternKind]
+    + [default_config(AntipatternKind.GOD_CLASS, dataset_seed=7, dataset_scale=2, iterations=123)],
+    ids=[kind.slug for kind in AntipatternKind] + ["god-class-iterations-123"],
+)
+def test_service_argv_round_trips_through_the_service_parser(cfg):
+    assert config_from_args(build_arg_parser().parse_args(service_argv(cfg, "off"))) == cfg
 
 
 def test_cli_serve_announce_echoes_seed_and_scale(tmp_path):

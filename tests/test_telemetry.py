@@ -22,7 +22,6 @@ from antiwatt.telemetry import (
     SimPowerSource,
     available,
     power_from_deltas,
-    read_energy,
     run_sampler,
     simulate_power,
 )
@@ -104,24 +103,6 @@ def sysfs(tmp_path):
     make_zone(root, "intel-rapl:0", "package-0", 12345)
     make_zone(root, "intel-rapl:0/intel-rapl:0:0", "dram", 777)
     return root
-
-
-def test_read_energy_from_mock_file(sysfs):
-    assert read_energy(CPU_PACKAGE, sysfs_root=str(sysfs)).energy_uj == 12345
-    assert read_energy(DRAM, sysfs_root=str(sysfs)).energy_uj == 777
-
-
-def test_read_energy_sums_packages(sysfs):
-    make_zone(sysfs, "intel-rapl:1", "package-1", 55)
-    got = read_energy(CPU_PACKAGE, sysfs_root=str(sysfs))
-    assert got.energy_uj == 12345 + 55
-    assert got.max_range_uj == 2 * RANGE
-
-
-def test_read_energy_missing_counter_names_remedy(tmp_path):
-    with pytest.raises(CapabilityError) as exc:
-        read_energy(CPU_PACKAGE, sysfs_root=str(tmp_path / "nope"))
-    assert "simulated backend" in str(exc.value)
 
 
 def test_available(sysfs, tmp_path):
