@@ -19,7 +19,6 @@ from .stats.campaign import analyze_campaign_dir
 from .telemetry import SimPowerModel
 from .telemetry.rapl import available as rapl_available
 from .workload import DEFAULT_USERS, SLUG_TO_KIND, default_config
-from .workload.service import run_service
 
 log = logging.getLogger("antiwatt")
 
@@ -96,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from .workload.service import run_service  # only serve loads the server side
+
     seed = [] if args.seed is None else ["--seed", str(args.seed)]
     return run_service(args.service_argv + seed)
 

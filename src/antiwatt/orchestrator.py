@@ -11,6 +11,7 @@ warm-up trimming, validity) lives in :mod:`.traces`.
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import logging
 import os
@@ -22,8 +23,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-from urllib.error import URLError
-from urllib.request import urlopen
+from urllib.parse import urlsplit
 
 from .errors import CapabilityError, TrialError
 from .loadgen import LoadPlan, RequestLog, run_load, write_requests_csv
@@ -47,7 +47,7 @@ from .traces import (
     write_resources_csv,
 )
 from .workload import WorkloadConfig
-from .workload.service import service_argv
+from .workload.config import service_argv
 
 logger = logging.getLogger(__name__)
 
@@ -177,15 +177,26 @@ def _stop_service(proc: subprocess.Popen) -> None:
         proc.stdout.close()
 
 
+def _get(base: str, path: str, timeout_s: float) -> Tuple[int, bytes]:
+    """One GET on a fresh connection; (status, body)."""
+    parts = urlsplit(base)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout_s)
+    try:
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
 def _wait_healthz(base: str, timeout_s: float = 15.0) -> None:
     deadline = time.monotonic() + timeout_s
     last: Optional[Exception] = None
     while time.monotonic() < deadline:
         try:
-            with urlopen(base + "/healthz", timeout=2) as resp:
-                if resp.status == 200 and resp.read() == b"ok":
-                    return
-        except (URLError, OSError, ConnectionError) as exc:
+            if _get(base, "/healthz", 2) == (200, b"ok"):
+                return
+        except (OSError, http.client.HTTPException) as exc:
             last = exc
         time.sleep(0.1)
     raise RuntimeError(f"/healthz never answered within {timeout_s:.0f}s (last: {last})")
@@ -193,10 +204,10 @@ def _wait_healthz(base: str, timeout_s: float = 15.0) -> None:
 
 def _fresh_probe(base: str, cfg: WorkloadConfig) -> dict:
     """First request against the endpoint; proves per-trial state is fresh."""
-    with urlopen(f"{base}/{cfg.kind.slug}", timeout=60) as resp:
-        if resp.status != 200:
-            raise RuntimeError(f"probe got HTTP {resp.status}")
-        payload = json.loads(resp.read())
+    status, raw = _get(base, f"/{cfg.kind.slug}", 60)
+    if status != 200:
+        raise RuntimeError(f"probe got HTTP {status}")
+    payload = json.loads(raw)
     body = payload.get("body_summary", {})
     if "store_size" in body and body["store_size"] != 1:
         raise RuntimeError(f"stale state: first request saw store_size={body['store_size']}")

@@ -8,11 +8,12 @@ extended-precision oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from antiwatt.errors import UndefinedStatisticError
+
+if TYPE_CHECKING:  # numpy loads inside the functions that compute with arrays
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,7 @@ class CorrelationPair:
 
 def describe(values: Sequence[float]) -> DescriptiveStats:
     """Exact mean/min/max of a non-empty series."""
+    import numpy as np
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise UndefinedStatisticError("describe() needs a non-empty series")
@@ -55,6 +57,7 @@ def rankdata(values: Sequence[float]) -> np.ndarray:
 
     [1, 2, 2, 3] -> [1, 2.5, 2.5, 4]
     """
+    import numpy as np
     arr = np.asarray(values, dtype=float)
     order = np.argsort(arr, kind="mergesort")
     ranks = np.empty(arr.size, dtype=float)
@@ -73,6 +76,7 @@ def rankdata(values: Sequence[float]) -> np.ndarray:
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson's r from the definition: Σ(xᵢ−x̄)(yᵢ−ȳ) / √(Σ(xᵢ−x̄)²·Σ(yᵢ−ȳ)²)."""
+    import numpy as np
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from antiwatt.errors import UndefinedStatisticError
 from antiwatt.stats.regression import RegressionResult, ols_fit
+
+if TYPE_CHECKING:  # numpy loads inside the functions that compute with arrays
+    import numpy as np
 
 ALPHA = 0.05
 
@@ -31,6 +32,7 @@ def breusch_pagan(fit: RegressionResult, X: np.ndarray) -> DiagnosticResult:
     Auxiliary OLS of e² on X; LM = n·R²_aux; p from χ² with df = p−1.
     Constant residuals give LM = 0, p = 1.
     """
+    import numpy as np
     from scipy import stats as sps  # lazily, as in regression.infer_coefficient
 
     X = np.asarray(X, dtype=float)
@@ -68,6 +70,7 @@ def anderson_darling(residuals: Sequence[float]) -> DiagnosticResult:
     piecewise-exponential approximation of D'Agostino & Stephens (1986)
     for the normal family; `statistic` reports the adjusted A*².
     """
+    import numpy as np
     from scipy import stats as sps  # lazily, as in regression.infer_coefficient
 
     x = np.asarray(residuals, dtype=float)

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from antiwatt.errors import DegenerateInferenceError, SingularDesignError
+
+if TYPE_CHECKING:  # numpy loads inside the functions that compute with arrays
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -63,6 +65,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, column_names: tuple[str, ...] | None =
     deficiency. R² uses the centered total sum of squares and is defined
     as 0 when y is constant.
     """
+    import numpy as np
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -116,6 +119,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, column_names: tuple[str, ...] | None =
 
 def hc3_covariance(fit: RegressionResult, X: np.ndarray) -> np.ndarray:
     """V = (XᵀX)⁻¹ Xᵀ diag(eᵢ²/(1−hᵢᵢ)²) X (XᵀX)⁻¹, symmetrized."""
+    import numpy as np
     X = np.asarray(X, dtype=float)
     if X.shape != (fit.n, fit.p):
         raise ValueError("X does not match the fitted design")
@@ -150,6 +154,7 @@ def infer_coefficient(
     """
     # imported here, not at module scope, so that commands that never compute
     # a p-value (campaign, serve, load, report) start without scipy
+    import numpy as np
     from scipy import stats as sps
 
     beta_j = float(fit.beta[j])
@@ -189,6 +194,7 @@ def assemble_design(table, model: str) -> tuple[np.ndarray, np.ndarray]:
     cpu model:  y = cpu_power_w,  X = [1, rt_ms, req_rate, cpu_util]
     dram model: y = dram_power_w, X = [1, rt_ms, req_rate, cpu_util, memory_bytes]
     """
+    import numpy as np
     if model not in ("cpu", "dram"):
         raise ValueError(f"unknown model {model!r}")
     rows = table.rows

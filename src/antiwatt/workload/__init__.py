@@ -1,4 +1,6 @@
 """Antipattern workload suite: config, shared state, handlers, HTTP service."""
+import importlib
+
 from .config import (
     DEFAULT_ITERATIONS,
     DEFAULT_USERS,
@@ -8,9 +10,22 @@ from .config import (
     config_from_dict,
     default_config,
 )
-from .handlers import WorkloadFailure, WorkResponse
-from .state import ServiceState, make_state
-from .service import calibrate_config, dispatch, execute, run_service, serve
+
+# the server side loads on first use, so a process that only plans trials
+# starts without the handlers, the fixture and http.server
+_LAZY = {
+    "handlers": ("WorkloadFailure", "WorkResponse"),
+    "state": ("ServiceState", "make_state"),
+    "service": ("calibrate_config", "dispatch", "execute", "run_service", "serve"),
+}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AntipatternKind",

@@ -1,4 +1,4 @@
-"""Antipattern catalog and per-service workload configuration.
+"""Antipattern catalog, workload configuration and the service's command line.
 
 Each antipattern is one HTTP endpoint of one service process; the kebab-case
 enum value doubles as the endpoint path. Default virtual-user counts follow
@@ -12,6 +12,7 @@ service's --calibrate-target-ms flag rescales the primary count at startup.
 """
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict
@@ -114,3 +115,61 @@ def config_from_dict(data: dict) -> WorkloadConfig:
     kind = AntipatternKind(data["kind"])
     fields = {k: v for k, v in data.items() if k != "kind"}
     return WorkloadConfig(kind=kind, **fields)
+
+
+DEFAULT_POOL_SIZE = 64
+
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="antiwatt-service", description="serve one antipattern endpoint"
+    )
+    parser.add_argument("--antipattern", required=True, choices=sorted(SLUG_TO_KIND))
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=0, help="0 picks a free port")
+    parser.add_argument("--seed", type=int, default=1, help="dataset/rng seed")
+    parser.add_argument("--scale", type=int, default=1, help="fixture scale multiplier")
+    parser.add_argument("--iterations", type=int, default=None)
+    parser.add_argument("--payload-size", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=None, help="MoreIsLess worker count")
+    parser.add_argument("--window-period-s", type=float, default=None, help="TrafficJam period")
+    parser.add_argument("--heavy-fraction", type=float, default=None)
+    parser.add_argument("--pin-core", default="auto", help="core id, 'auto', or 'off'")
+    parser.add_argument(
+        "--calibrate-target-ms",
+        type=float,
+        default=None,
+        help="rescale iterations so one request costs about this many ms",
+    )
+    parser.add_argument("--pool-size", type=int, default=DEFAULT_POOL_SIZE)
+    return parser
+
+
+def config_from_args(args: argparse.Namespace) -> WorkloadConfig:
+    overrides = {"dataset_seed": args.seed, "dataset_scale": args.scale}
+    if args.iterations is not None:
+        overrides["iterations"] = args.iterations
+    if args.payload_size is not None:
+        overrides["payload_size"] = args.payload_size
+    if args.workers is not None:
+        overrides["worker_count"] = args.workers
+    if args.window_period_s is not None:
+        overrides["window_period_s"] = args.window_period_s
+    if args.heavy_fraction is not None:
+        overrides["heavy_fraction"] = args.heavy_fraction
+    return default_config(SLUG_TO_KIND[args.antipattern], **overrides)
+
+
+def service_argv(config: WorkloadConfig, pin_core: str) -> list[str]:
+    """The service's command-line flags for *config*; the inverse of config_from_args."""
+    return [
+        "--antipattern", config.kind.slug,
+        "--seed", str(config.dataset_seed),
+        "--scale", str(config.dataset_scale),
+        "--iterations", str(config.iterations),
+        "--payload-size", str(config.payload_size),
+        "--workers", str(config.worker_count),
+        "--window-period-s", str(config.window_period_s),
+        "--heavy-fraction", str(config.heavy_fraction),
+        "--pin-core", pin_core,
+    ]

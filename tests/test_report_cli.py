@@ -210,10 +210,10 @@ def test_cli_requires_backend():
     assert "--backend" in proc.stderr
 
 
-def _scipy_loaded_after(code: str) -> bool:
-    """Run ``code`` in a fresh interpreter; is scipy imported at its end?"""
+def _loaded_after(code: str, module: str) -> bool:
+    """Run ``code`` in a fresh interpreter; is ``module`` imported at its end?"""
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nimport sys\nprint({module!r} in sys.modules)"],
         capture_output=True, text=True, check=True,
     )
     return proc.stdout.strip().splitlines()[-1] == "True"
@@ -221,17 +221,51 @@ def _scipy_loaded_after(code: str) -> bool:
 
 @pytest.mark.parametrize("module", ["antiwatt.cli", "antiwatt.workload.service"])
 def test_importing_an_entry_point_leaves_scipy_unloaded(module):
-    assert not _scipy_loaded_after(f"import {module}")
+    assert not _loaded_after(f"import {module}", "scipy")
 
 
-def test_only_analyze_loads_scipy(tmp_path):
+@pytest.mark.parametrize(
+    "module",
+    ["numpy", "http.server", "urllib.request", "antiwatt.fixture", "antiwatt.workload.service"],
+)
+def test_importing_the_cli_leaves_unloaded(module):
+    assert not _loaded_after("import antiwatt.cli", module)
+
+
+def test_a_sim_campaign_leaves_numpy_unloaded(tmp_path):
+    args = ["campaign", "--antipattern", "unnecessary-processing", "--backend", "sim",
+            "--users", "1", "--duration", "2", "--warmup", "0", "--cooldown", "0",
+            "--settle", "0", "--reps", "1", "--iterations", "1", "--out", str(tmp_path / "runs")]
+    assert not _loaded_after(f"import antiwatt.cli as cli\nassert cli.main({args!r}) == 0", "numpy")
+
+
+def _analyze_then_report(tmp_path, module: str):
+    """Is ``module`` loaded after ``antiwatt analyze``, and after ``antiwatt report``?"""
     plan = synthetic_plan(tmp_path / "runs", duration_s=60.0, warmup_s=10.0,
                           repetitions=1)
     generate_campaign(plan, seed=3)
     runs = tmp_path / "runs"
     run = "import antiwatt.cli as cli\nassert cli.main({!r}) == 0"
-    assert _scipy_loaded_after(run.format(["analyze", str(runs)]))
-    assert not _scipy_loaded_after(run.format(["report", str(runs / "report")]))
+    return (_loaded_after(run.format(["analyze", str(runs)]), module),
+            _loaded_after(run.format(["report", str(runs / "report")]), module))
+
+
+def test_only_analyze_loads_scipy(tmp_path):
+    assert _analyze_then_report(tmp_path, "scipy") == (True, False)
+
+
+def test_only_analyze_loads_numpy(tmp_path):
+    assert _analyze_then_report(tmp_path, "numpy") == (True, False)
+
+
+def test_the_service_module_runs_once_under_dash_m():
+    # a package __init__ that imported .service would make runpy warn that
+    # the module is already in sys.modules and then execute it a second time
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "antiwatt.workload.service", "--help"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("module", ["antiwatt.stats.campaign", "antiwatt.reporting"])
@@ -422,7 +456,7 @@ def test_cli_serve_delegates_all_flags(monkeypatch):
         seen["argv"] = argv
         return 0
 
-    monkeypatch.setattr(cli, "run_service", fake_run_service)
+    monkeypatch.setattr("antiwatt.workload.service.run_service", fake_run_service)
     rc = cli.main(["serve", "--antipattern", "god-class", "--port", "8123",
                    "--seed", "7", "--scale", "2", "--workers", "8",
                    "--pin-core", "off"])
