@@ -252,10 +252,6 @@ class FixtureSession:
         self._charge()
         return self.fixture.details_by_id.get(detail_id)
 
-    def get_order(self, order_id: int) -> Order | None:
-        self._charge()
-        return self.fixture.orders_by_id.get(order_id)
-
     def get_product(self, product_id: int) -> Product | None:
         self._charge()
         return self.fixture.products_by_id.get(product_id)

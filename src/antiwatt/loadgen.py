@@ -83,8 +83,7 @@ class RequestRecord:
 class RequestLog:
     """Append-only record sink shared by all virtual users."""
 
-    def __init__(self, plan: Optional[LoadPlan] = None) -> None:
-        self.plan = plan
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: List[RequestRecord] = []
 
@@ -166,18 +165,15 @@ def _user_loop(
     plan: LoadPlan,
     log: RequestLog,
     t0: float,
-    stop: threading.Event,
 ) -> None:
     host, port, path = _split_endpoint(plan.endpoint)
-    while not stop.is_set():
-        delay = (t0 + offset_s) - time.monotonic()
-        if delay <= 0:
-            break
-        time.sleep(min(delay, 0.05))
+    delay = (t0 + offset_s) - time.monotonic()
+    if delay > 0:
+        time.sleep(delay)
     end = t0 + plan.duration_s
     conn: Optional[http.client.HTTPConnection] = None
     try:
-        while not stop.is_set() and time.monotonic() < end:
+        while time.monotonic() < end:
             start_ms = time.time() * 1000.0
             t_req = time.monotonic()
             ok = False
@@ -212,25 +208,19 @@ def _user_loop(
             conn.close()
 
 
-def run_load(
-    plan: LoadPlan,
-    stop: Optional[threading.Event] = None,
-    log: Optional[RequestLog] = None,
-) -> RequestLog:
+def run_load(plan: LoadPlan, log: Optional[RequestLog] = None) -> RequestLog:
     """Drive the endpoint per *plan*; returns the completed, ordered log.
 
     Pass a pre-built *log* to observe records live from another thread
     (e.g. a sampler's response-time provider); it is returned finalized.
     """
-    if stop is None:
-        stop = threading.Event()
     if log is None:
-        log = RequestLog(plan=plan)
+        log = RequestLog()
     t0 = time.monotonic()
     threads = [
         threading.Thread(
             target=_user_loop,
-            args=(i, off / 1000.0, plan, log, t0, stop),
+            args=(i, off / 1000.0, plan, log, t0),
             name=f"vu-{i}",
             daemon=True,
         )

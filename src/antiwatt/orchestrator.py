@@ -5,8 +5,9 @@ One trial = fresh service process, health check, fresh-state probe, settle,
 self-describing artifact directory (requests.csv, power.csv, resources.csv,
 meta.json).  Campaigns run trials sequentially — concurrent trials would
 contaminate the power signal — and keep going when an individual trial dies.
-The artifact format itself (file names, CSV writers and readers, loading,
-warm-up trimming, validity) lives in :mod:`.traces`.
+The artifact format itself (file names, the trial writers and readers,
+warm-up trimming, validity) lives in :mod:`.traces`.  ``run_campaign`` also
+drives synthetic campaigns, with a trial function that generates traces.
 """
 from __future__ import annotations
 
@@ -22,11 +23,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from .errors import CapabilityError, TrialError
-from .loadgen import LoadPlan, RequestLog, run_load, write_requests_csv
+from .loadgen import LoadPlan, RequestLog, run_load
 from .telemetry import (
     ProcSampler,
     RaplPowerSource,
@@ -35,16 +36,13 @@ from .telemetry import (
     available as rapl_available,
     run_sampler,
 )
-from .traces import (
+from .traces import (  # noqa: F401 - the CSV writers stay importable from here
     CAMPAIGN_NAME,
     MANIFEST_NAME,
-    META_NAME,
-    POWER_NAME,
-    REQUESTS_NAME,
-    RESOURCES_NAME,
-    RunArtifact,
+    write_failed_trial,
     write_power_csv,
     write_resources_csv,
+    write_trial,
 )
 from .workload import WorkloadConfig
 from .workload.config import service_argv
@@ -56,6 +54,8 @@ SIM_BACKEND = "sim"
 
 # per-trial overhead beyond settle+duration+cooldown (launch, probe, teardown)
 LAUNCH_OVERHEAD_S = 5.0
+# the sampler's tick period; plans record it as "sample_interval_s"
+SAMPLE_INTERVAL_S = 1.0
 
 
 # ----------------------------------------------------------------- the plan
@@ -74,7 +74,6 @@ class ExperimentPlan:
     sim_model: Optional[SimPowerModel] = None
     out_dir: Union[str, Path] = "runs"
     settle_s: float = 10.0
-    sample_interval_s: float = 1.0
     pin_core: str = "off"
 
     def __post_init__(self) -> None:
@@ -102,7 +101,7 @@ class ExperimentPlan:
             "power_backend": self.power_backend,
             "out_dir": str(self.out_dir),
             "settle_s": self.settle_s,
-            "sample_interval_s": self.sample_interval_s,
+            "sample_interval_s": SAMPLE_INTERVAL_S,
             "pin_core": self.pin_core,
         }
         if self.sim_model is not None:
@@ -218,24 +217,18 @@ def _fresh_probe(base: str, cfg: WorkloadConfig) -> dict:
 
 def _build_power_source(plan: ExperimentPlan, pid: int):
     if plan.power_backend == REAL_BACKEND:
-        if not rapl_available():
-            raise CapabilityError(
-                "powercap/RAPL is not readable on this host; rerun with the "
-                "simulated backend (--backend sim)"
-            )
         return RaplPowerSource(target_pid=pid)
     assert plan.sim_model is not None
     return SimPowerSource(plan.sim_model)
 
 
-def execute_trial(plan: ExperimentPlan, repetition: int) -> RunArtifact:
+def execute_trial(plan: ExperimentPlan, repetition: int) -> Path:
     """Run one full trial; on any stage failure the rep directory is marked
     failed (stage + cause in meta.json) and TrialError is raised."""
     rep_dir = Path(plan.out_dir) / f"rep-{repetition}"
     stage = "prepare"
     proc = None
     meta: Dict[str, object] = {
-        "format": "antiwatt-run-v1",
         "repetition": repetition,
         "plan": plan.to_dict(),
         "host": host_descriptor(),
@@ -275,7 +268,7 @@ def execute_trial(plan: ExperimentPlan, repetition: int) -> RunArtifact:
         source = _build_power_source(plan, proc.pid)
         resources = ProcSampler(proc.pid)
         effective = dataclasses.replace(plan.load, endpoint=str(meta["endpoint"]))
-        log = RequestLog(plan=effective)
+        log = RequestLog()
         rt_provider = None
         if plan.power_backend == SIM_BACKEND:
             rt_provider = lambda: log.recent_mean_rt(time.time())  # noqa: E731
@@ -287,7 +280,7 @@ def execute_trial(plan: ExperimentPlan, repetition: int) -> RunArtifact:
                 source,
                 resource_sampler=resources,
                 stop_event=stop_sampling,
-                interval_s=plan.sample_interval_s,
+                interval_s=SAMPLE_INTERVAL_S,
                 rt_provider=rt_provider,
             )
 
@@ -299,7 +292,7 @@ def execute_trial(plan: ExperimentPlan, repetition: int) -> RunArtifact:
         run_load(effective, log=log)
         meta["load_ended_at"] = time.time()
         stop_sampling.set()
-        sampler.join(timeout=plan.sample_interval_s + 10)
+        sampler.join(timeout=SAMPLE_INTERVAL_S + 10)
         result = holder.get("result")
         if result is None:
             raise RuntimeError("sampling thread never returned")
@@ -310,39 +303,22 @@ def execute_trial(plan: ExperimentPlan, repetition: int) -> RunArtifact:
         stage = "write"
         meta["sampler"] = {"missed_ticks": result.missed_ticks, "errors": result.errors}
         meta["ended_at"] = time.time()
-        meta["status"] = "ok"
-        write_requests_csv(log, rep_dir / REQUESTS_NAME)
-        write_power_csv(result.power, rep_dir / POWER_NAME)
-        write_resources_csv(result.resources, rep_dir / RESOURCES_NAME)
-        with open(rep_dir / META_NAME, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_trial(rep_dir, meta, log, result.power, result.resources)
 
         stage = "cooldown"
         time.sleep(plan.cooldown_s)
-        return RunArtifact(rep_dir)
+        return rep_dir
     except Exception as exc:  # noqa: BLE001 - one trial must never kill the campaign
         if proc is not None:
             _stop_service(proc)
-        _write_failed_meta(rep_dir, meta, stage, exc)
+        meta["ended_at"] = time.time()
+        try:
+            write_failed_trial(rep_dir, meta, stage, exc)
+        except OSError:
+            logger.exception("could not record failure for %s", rep_dir)
         if isinstance(exc, TrialError):
             raise
         raise TrialError(stage, exc) from exc
-
-
-def _write_failed_meta(rep_dir: Path, meta: Dict[str, object], stage: str, exc: Exception) -> None:
-    meta = dict(meta)
-    meta["status"] = "failed"
-    meta["failed_stage"] = stage
-    meta["cause"] = f"{type(exc).__name__}: {exc}"
-    meta["ended_at"] = time.time()
-    try:
-        rep_dir.mkdir(parents=True, exist_ok=True)
-        with open(rep_dir / META_NAME, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError:
-        logger.exception("could not record failure for %s", rep_dir)
 
 
 # ------------------------------------------------------------- the campaign
@@ -351,7 +327,7 @@ def _write_failed_meta(rep_dir: Path, meta: Dict[str, object], stage: str, exc: 
 @dataclass(frozen=True)
 class CampaignResult:
     directory: Path
-    artifacts: Tuple[RunArtifact, ...]
+    artifacts: Tuple[Path, ...]  # the ok trial directories
     statuses: Tuple[Tuple[str, str, str], ...]  # (rep name, ok|failed, detail)
 
     @property
@@ -391,8 +367,14 @@ def write_campaign_summary(
         fh.write("\n")
 
 
-def run_campaign(plan: ExperimentPlan) -> CampaignResult:
-    """Sequential repetitions of execute_trial; failures are recorded, not fatal."""
+def run_campaign(
+    plan: ExperimentPlan,
+    trial: Optional[Callable[[ExperimentPlan, int], Path]] = None,
+) -> CampaignResult:
+    """Sequential repetitions of *trial* (default: execute_trial); a trial
+    that raises TrialError is recorded as failed, not fatal."""
+    if trial is None:
+        trial = execute_trial  # looked up per call, so a patched one is used
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     estimated = estimate_campaign_s(plan)
@@ -404,11 +386,11 @@ def run_campaign(plan: ExperimentPlan) -> CampaignResult:
         estimated / 60.0,
     )
     statuses: List[Tuple[str, str, str]] = []
-    artifacts: List[RunArtifact] = []
+    artifacts: List[Path] = []
     for i in range(plan.repetitions):
         name = f"rep-{i}"
         try:
-            artifacts.append(execute_trial(plan, i))
+            artifacts.append(trial(plan, i))
             statuses.append((name, "ok", ""))
             logger.info("%s ok", name)
         except TrialError as exc:

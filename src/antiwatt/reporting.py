@@ -73,9 +73,6 @@ class ReportBundle:
     def report_path(self) -> Path:
         return self.directory / REPORT_NAME
 
-    def table_path(self, name: str) -> Path:
-        return self.directory / name
-
     def trace_paths(self) -> List[Path]:
         root = self.directory / TRACES_DIR
         if not root.is_dir():

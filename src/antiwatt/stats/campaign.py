@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from antiwatt.errors import TrialError
 from antiwatt.stats.align import AlignedTable, TimelineRow, align, per_second
 from antiwatt.stats.core import CorrelationPair, DescriptiveStats, correlation_pair, describe
 from antiwatt.stats.diagnostics import DiagnosticResult, anderson_darling, breusch_pagan
@@ -28,7 +29,6 @@ from antiwatt.stats.regression import (
     ols_fit,
 )
 from antiwatt.traces import (
-    RunArtifact,
     TraceSet,
     ValidityReport,
     discover_artifacts,
@@ -123,7 +123,7 @@ def _fit_model(name: str, table: AlignedTable, alpha: float) -> ModelReport:
 
 
 def analyze_campaign(
-    artifacts: Sequence[Union[RunArtifact, str, Path]],
+    artifacts: Sequence[Union[str, Path]],
     alpha: float = 0.05,
 ) -> CampaignAnalysis:
     """Full analysis over a campaign's artifacts.
@@ -138,13 +138,13 @@ def analyze_campaign(
     kinds = set()
     skipped = 0
     for item in artifacts:
-        artifact = item if isinstance(item, RunArtifact) else RunArtifact(Path(item))
-        name = artifact.directory.name
-        if not artifact.is_ok():
+        name = Path(item).name
+        try:
+            ts = load_artifact(item)
+        except TrialError:
             logger.warning("skipping %s: marked failed or unreadable", name)
             skipped += 1
             continue
-        ts = load_artifact(artifact)
         kinds.add(ts.meta["plan"]["workload"]["kind"])
         trimmed = trim_warmup(ts)
         table = align(trimmed.power, trimmed.resources, trimmed.requests)

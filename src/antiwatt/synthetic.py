@@ -1,39 +1,26 @@
 """Time-compressed synthetic campaigns.
 
-Writes artifact directories in the :mod:`.traces` format, byte-compatible
-with what :mod:`.orchestrator` produces from live trials, but generated in milliseconds from a seed: a
-known warm-up transient, a steady regime with planted response-time /
-utilization structure, and power from the simulated model.  This is the
-workhorse for exercising the analysis pipeline end to end — planted
-coefficients in, recovered coefficients out — without burning wall-clock
-time on real load runs.
+Writes trial directories through the same :mod:`.traces` writers, and runs
+campaigns through the same ``run_campaign`` loop, as live trials do, but
+generates each trial in milliseconds from a seed: a known warm-up transient,
+a steady regime with planted response-time / utilization structure, and
+power from the simulated model.  This is the workhorse for exercising the
+analysis pipeline end to end — planted coefficients in, recovered
+coefficients out — without burning wall-clock time on real load runs.
 """
 from __future__ import annotations
 
-import json
 import math
 import platform
 import random
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
-from .loadgen import LoadPlan, RequestLog, RequestRecord, write_requests_csv
-from .orchestrator import (
-    CampaignResult,
-    ExperimentPlan,
-    estimate_campaign_s,
-    write_campaign_summary,
-)
+from .errors import TrialError
+from .loadgen import LoadPlan, RequestLog, RequestRecord
+from .orchestrator import CampaignResult, ExperimentPlan, run_campaign
 from .telemetry import PowerSample, ResourceSample, SimPowerModel, simulate_power
-from .traces import (
-    META_NAME,
-    POWER_NAME,
-    REQUESTS_NAME,
-    RESOURCES_NAME,
-    RunArtifact,
-    write_power_csv,
-    write_resources_csv,
-)
+from .traces import write_failed_trial, write_trial
 from .workload import AntipatternKind, default_config
 
 EPOCH_BASE = 1_700_000_000
@@ -105,11 +92,9 @@ def _warm_second(k: int, rng: random.Random) -> Tuple[float, int, float]:
     return rt, WARM_RATE, min(1.0, max(0.01, util))
 
 
-def generate_trial(plan: ExperimentPlan, repetition: int, seed: int) -> RunArtifact:
-    """Write one synthetic rep-<i> artifact under plan.out_dir."""
+def generate_trial(plan: ExperimentPlan, repetition: int, seed: int) -> Path:
+    """Write one synthetic rep-<i> trial directory under plan.out_dir."""
     assert plan.sim_model is not None, "synthetic trials need a sim model"
-    rep_dir = Path(plan.out_dir) / f"rep-{repetition}"
-    rep_dir.mkdir(parents=True, exist_ok=True)
 
     duration = int(plan.load.duration_s)
     warmup = int(plan.warmup_s)
@@ -144,18 +129,12 @@ def generate_trial(plan: ExperimentPlan, repetition: int, seed: int) -> RunArtif
                 )
             )
 
-    log = RequestLog(plan=plan.load)
+    log = RequestLog()
     for record in records:
         log.append(record)
     log.finalize()
-    write_requests_csv(log, rep_dir / REQUESTS_NAME)
-    write_power_csv(power, rep_dir / POWER_NAME)
-    write_resources_csv(resources, rep_dir / RESOURCES_NAME)
-
     meta = {
-        "format": "antiwatt-run-v1",
         "repetition": repetition,
-        "status": "ok",
         "plan": plan.to_dict(),
         "endpoint": plan.load.endpoint,
         "service": {"pid": 0, "port": 0, "pinned_core": None},
@@ -173,10 +152,7 @@ def generate_trial(plan: ExperimentPlan, repetition: int, seed: int) -> RunArtif
         "ended_at": float(t0 + duration),
         "synthetic": {"seed": seed},
     }
-    with open(rep_dir / META_NAME, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return RunArtifact(rep_dir)
+    return write_trial(Path(plan.out_dir) / f"rep-{repetition}", meta, log, power, resources)
 
 
 def generate_campaign(
@@ -184,37 +160,19 @@ def generate_campaign(
     seed: int = 0,
     fail_reps: Iterable[int] = (),
 ) -> CampaignResult:
-    """A full campaign directory: rep-* artifacts, manifest, campaign.json.
+    """A full campaign directory: rep-* trials, manifest, campaign.json.
 
-    Reps listed in *fail_reps* are written as failed artifacts (meta only) to
+    Reps listed in *fail_reps* are written as failed trials (meta only) to
     exercise failure containment downstream.
     """
-    out_dir = Path(plan.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    failed = set(fail_reps)
-    statuses: list[Tuple[str, str, str]] = []
-    artifacts: list[RunArtifact] = []
-    for i in range(plan.repetitions):
-        name = f"rep-{i}"
-        if i in failed:
-            rep_dir = out_dir / name
-            rep_dir.mkdir(parents=True, exist_ok=True)
-            meta = {
-                "format": "antiwatt-run-v1",
-                "repetition": i,
-                "status": "failed",
-                "failed_stage": "load",
-                "cause": "RuntimeError: synthetic failure injection",
-                "plan": plan.to_dict(),
-            }
-            with open(rep_dir / META_NAME, "w", encoding="utf-8") as fh:
-                json.dump(meta, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            statuses.append((name, "failed", "load: synthetic failure injection"))
-            continue
-        artifacts.append(generate_trial(plan, i, seed))
-        statuses.append((name, "ok", ""))
-    write_campaign_summary(out_dir, plan, statuses, estimate_campaign_s(plan))
-    return CampaignResult(
-        directory=out_dir, artifacts=tuple(artifacts), statuses=tuple(statuses)
-    )
+    failed = frozenset(fail_reps)
+
+    def trial(plan: ExperimentPlan, repetition: int) -> Path:
+        if repetition in failed:
+            cause = RuntimeError("synthetic failure injection")
+            meta = {"repetition": repetition, "plan": plan.to_dict()}
+            write_failed_trial(Path(plan.out_dir) / f"rep-{repetition}", meta, "load", cause)
+            raise TrialError("load", cause)
+        return generate_trial(plan, repetition, seed)
+
+    return run_campaign(plan, trial=trial)

@@ -2,11 +2,11 @@
 
 A trial directory holds ``meta.json``, ``requests.csv``, ``power.csv`` and
 ``resources.csv``; a campaign directory holds ``rep-*`` trial directories, a
-``manifest.txt`` and a ``campaign.json``.  This module owns how those files
-are named, written and read back, and the two rules every analysis applies to
-a trial before using it: the warm-up trim and the validity check.  It knows
-nothing of how trials are run, so the analysis layer reads traces without
-importing the orchestrator.
+``manifest.txt`` and a ``campaign.json``.  This module names those files,
+writes and reads back every trial directory, ok or failed, and holds the two
+rules every analysis applies to a trial before using it: the warm-up trim and
+the validity check.  It knows nothing of how trials are run, so the analysis
+layer reads traces without importing the orchestrator.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import TrialError
-from .loadgen import RequestRecord, read_requests_csv
+from .loadgen import RequestLog, RequestRecord, read_requests_csv, write_requests_csv
 from .telemetry import PowerSample, ResourceSample
 
 META_NAME = "meta.json"
@@ -26,6 +26,7 @@ POWER_NAME = "power.csv"
 RESOURCES_NAME = "resources.csv"
 MANIFEST_NAME = "manifest.txt"
 CAMPAIGN_NAME = "campaign.json"
+RUN_FORMAT = "antiwatt-run-v1"
 
 # mean post-warm-up utilization must reach 0.3 of one core, as a fraction of
 # total host capacity: 0.075 on a four-core box
@@ -107,28 +108,45 @@ def read_resources_csv(path: Union[str, Path]) -> List[ResourceSample]:
         return out
 
 
-# --------------------------------------------------------------- artifacts
+# ---------------------------------------------------------- trial directories
 
 
-@dataclass(frozen=True)
-class RunArtifact:
-    """Handle on one trial's directory."""
+def _write_meta(rep_dir: Path, meta: dict) -> None:
+    with open(rep_dir / META_NAME, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
-    directory: Path
 
-    @property
-    def meta_path(self) -> Path:
-        return self.directory / META_NAME
+def write_trial(
+    rep_dir: Path,
+    meta: dict,
+    log: RequestLog,
+    power: Sequence[PowerSample],
+    resources: Sequence[ResourceSample],
+) -> Path:
+    """Write an ok trial: the three trace CSVs, then ``meta.json`` last, so a
+    directory whose meta says ok always holds complete traces."""
+    rep_dir.mkdir(parents=True, exist_ok=True)
+    write_requests_csv(log, rep_dir / REQUESTS_NAME)
+    write_power_csv(power, rep_dir / POWER_NAME)
+    write_resources_csv(resources, rep_dir / RESOURCES_NAME)
+    _write_meta(rep_dir, {**meta, "format": RUN_FORMAT, "status": "ok"})
+    return rep_dir
 
-    def meta(self) -> dict:
-        with open(self.meta_path, encoding="utf-8") as fh:
-            return json.load(fh)
 
-    def is_ok(self) -> bool:
-        try:
-            return self.meta().get("status") == "ok"
-        except (OSError, json.JSONDecodeError):
-            return False
+def write_failed_trial(rep_dir: Path, meta: dict, stage: str, cause: BaseException) -> None:
+    """Write a failed trial: ``meta.json`` alone, naming the stage and cause."""
+    rep_dir.mkdir(parents=True, exist_ok=True)
+    _write_meta(
+        rep_dir,
+        {
+            **meta,
+            "format": RUN_FORMAT,
+            "status": "failed",
+            "failed_stage": stage,
+            "cause": f"{type(cause).__name__}: {cause}",
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -149,13 +167,15 @@ class TraceSet:
         return int(self.meta["host"]["core_count"])
 
 
-def load_artifact(artifact: Union[RunArtifact, str, Path]) -> TraceSet:
-    directory = artifact.directory if isinstance(artifact, RunArtifact) else Path(artifact)
-    meta_path = directory / META_NAME
-    if not meta_path.exists():
-        raise TrialError("read", FileNotFoundError(str(meta_path)))
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+def load_artifact(directory: Union[str, Path]) -> TraceSet:
+    """One trial's traces; TrialError at stage "read" when its ``meta.json``
+    is missing, unreadable or not marked ok."""
+    directory = Path(directory)
+    try:
+        with open(directory / META_NAME, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise TrialError("read", exc) from exc
     if meta.get("status") != "ok":
         raise TrialError("read", ValueError(f"{directory} is marked {meta.get('status')!r}"))
     requests = read_requests_csv(directory / REQUESTS_NAME)
@@ -169,14 +189,13 @@ def load_artifact(artifact: Union[RunArtifact, str, Path]) -> TraceSet:
     )
 
 
-def discover_artifacts(campaign_dir: Union[str, Path]) -> List[RunArtifact]:
-    """All rep-* artifacts under a campaign directory, ok or failed, in order."""
+def discover_artifacts(campaign_dir: Union[str, Path]) -> List[Path]:
+    """All rep-* trial directories under a campaign directory, ok or failed, in order."""
     root = Path(campaign_dir)
-    reps = sorted(
+    return sorted(
         (p for p in root.glob("rep-*") if p.is_dir()),
         key=lambda p: int(p.name.split("-", 1)[1]),
     )
-    return [RunArtifact(p) for p in reps]
 
 
 # --------------------------------------------------------- warm-up trimming

@@ -117,9 +117,6 @@ def config_from_dict(data: dict) -> WorkloadConfig:
     return WorkloadConfig(kind=kind, **fields)
 
 
-DEFAULT_POOL_SIZE = 64
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antiwatt-service", description="serve one antipattern endpoint"
@@ -141,7 +138,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=None,
         help="rescale iterations so one request costs about this many ms",
     )
-    parser.add_argument("--pool-size", type=int, default=DEFAULT_POOL_SIZE)
     return parser
 
 

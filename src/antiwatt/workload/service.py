@@ -2,9 +2,9 @@
 
 One process serves exactly one antipattern at /<kind-slug>; any other path is
 a 404 naming the expected endpoint. Replies are JSON WorkResponse envelopes
-over HTTP/1.1 keep-alive. Requests are handled by a bounded worker pool
-(large enough for the experiment's 50 concurrent users; CPU-bound handler
-code is serialized by the interpreter anyway on a single core).
+over HTTP/1.1 keep-alive. Each connection gets its own thread for its whole
+life, so every concurrent user is served however many there are (CPU-bound
+handler code is serialized by the interpreter anyway on a single core).
 
 On startup the process prints a single JSON "listening" line to stdout —
 the orchestrator parses it to learn the bound port and the echoed config.
@@ -19,7 +19,6 @@ import sys
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -28,7 +27,6 @@ from urllib.parse import parse_qsl, urlsplit
 from ..errors import CapabilityError
 from ..kernels import busy_loop, calibrate_iterations, hash_rounds, trig_loop
 from .config import (
-    DEFAULT_POOL_SIZE,
     AntipatternKind,
     WorkloadConfig,
     build_arg_parser,
@@ -112,30 +110,6 @@ def execute(state: ServiceState, config: WorkloadConfig, raw_query: str):
     return code, WorkResponse(status=status, body_summary=body, server_elapsed_ms=elapsed_ms)
 
 
-class _PooledHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer whose connections run on a bounded pool."""
-
-    daemon_threads = True
-
-    def __init__(self, addr, handler_cls, state: ServiceState, pool_size: int):
-        # pool first: a failed bind makes socketserver call server_close()
-        self._pool = ThreadPoolExecutor(max_workers=pool_size, thread_name_prefix="req")
-        self.state = state
-        self.config = state.config
-        try:
-            super().__init__(addr, handler_cls)
-        except OSError:
-            self._pool.shutdown(wait=False)
-            raise
-
-    def process_request(self, request, client_address):
-        self._pool.submit(self.process_request_thread, request, client_address)
-
-    def server_close(self):
-        super().server_close()
-        self._pool.shutdown(wait=False)
-
-
 class WorkloadHTTPHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # without TCP_NODELAY, Nagle + delayed ACK stalls every keep-alive
@@ -177,19 +151,23 @@ def serve(
     config: WorkloadConfig,
     host: str = "127.0.0.1",
     port: int = 0,
-    pool_size: int = DEFAULT_POOL_SIZE,
     state: Optional[ServiceState] = None,
-) -> _PooledHTTPServer:
+) -> ThreadingHTTPServer:
     """Bind and return the server (caller drives serve_forever)."""
     if state is None:
         state = make_state(config)
     try:
-        return _PooledHTTPServer((host, port), WorkloadHTTPHandler, state, pool_size)
+        server = ThreadingHTTPServer((host, port), WorkloadHTTPHandler)
     except OSError as exc:
         raise CapabilityError(
             f"cannot bind {host}:{port} ({exc}); pick a free port with --port or "
             "stop the process holding it"
         ) from exc
+    # an idle keep-alive connection must not hold up server_close or exit
+    server.block_on_close = False
+    server.state = state
+    server.config = state.config
+    return server
 
 
 # ------------------------------------------------------------- startup chores
@@ -263,7 +241,7 @@ def run_service(argv=None) -> int:
     if args.calibrate_target_ms is not None:
         config = calibrate_config(config, args.calibrate_target_ms)
     try:
-        server = serve(config, host=args.host, port=args.port, pool_size=args.pool_size)
+        server = serve(config, host=args.host, port=args.port)
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

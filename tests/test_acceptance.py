@@ -481,7 +481,8 @@ def test_criterion_7_protocol_fidelity(tmp_path):
     )
     result = run_campaign(ramp_plan)
     assert result.ok_count == 3
-    probes = [a.meta()["fresh_probe"]["store_size"] for a in discover_artifacts(result.directory)]
+    probes = [load_artifact(a).meta["fresh_probe"]["store_size"]
+              for a in discover_artifacts(result.directory)]
     assert probes == [1, 1, 1], f"stale state leaked across repetitions: {probes}"
 
     # (c) the validity rules: failure count stays on zero, and mean

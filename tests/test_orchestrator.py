@@ -1,7 +1,9 @@
 """Trial/campaign orchestration: plans, artifacts, trimming, validity."""
 import dataclasses
+import hashlib
 import json
 import math
+import platform
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from antiwatt.orchestrator import (
 from antiwatt.synthetic import EPOCH_BASE, generate_campaign, generate_trial, synthetic_plan
 from antiwatt.telemetry import PowerSample, ResourceSample, SimPowerModel
 from antiwatt.traces import (
-    RunArtifact,
     TraceSet,
     discover_artifacts,
     load_artifact,
@@ -185,9 +186,42 @@ def test_synthetic_campaign_failure_marks(tmp_path):
     lines = (out / "manifest.txt").read_text().splitlines()
     assert lines[0] == "rep-0 ok" and lines[1].startswith("rep-1 failed") and lines[2] == "rep-2 ok"
     artifacts = discover_artifacts(out)
-    assert [a.is_ok() for a in artifacts] == [True, False, True]
+    statuses = [json.loads((a / "meta.json").read_text())["status"] for a in artifacts]
+    assert statuses == ["ok", "failed", "ok"]
     with pytest.raises(TrialError):
         load_artifact(artifacts[1])
+
+
+# sha256 of every file of the campaign below: a change to these bytes is a
+# change to the trial format, and needs a reason
+PINNED_CAMPAIGN = {
+    "campaign.json": "a6699f1363e32b7150fe28915883624f01c8e2eeaf2a5b5856204b87cb6ff3cb",
+    "manifest.txt": "b98f49ee7fbe67c8440b87de8395c55c61b1ff5d3cbfbfe416b254737ffb3202",
+    "rep-0/meta.json": "2f77e62476fde2890d04afba0e917e7d0a60c428120ffbb5ff90d9e1a3c5532b",
+    "rep-0/power.csv": "c738c928d585fba4f0aea4225aabc72a2a93a6e79965e1af4c38c47a65faf674",
+    "rep-0/requests.csv": "470a5b5679f87f1c607a45f3223cd1f134b376e8b3d2eb7e41a63d8354d6eadc",
+    "rep-0/resources.csv": "75eb4671c54481d039f2d21f1368864b6857ea4f1c09f4a9bbc010839ee46de6",
+    "rep-1/meta.json": "c5ca4123c9bcf73f40db5f10563b539abef2442a52ff7313baff6e35a11d06c2",
+    "rep-2/meta.json": "5c00ae17ef2c1cae030260d36f572298a66191e4b78289fec69d348d5ff77eb1",
+    "rep-2/power.csv": "b2b05c22c72085289adbf73a9fff495b7f192f131e4896ff70f1ffaee295a81f",
+    "rep-2/requests.csv": "4bf90f62b92d4af853ba05deb1d795b8b4a9bb17420eabe6c3b625e5842049ea",
+    "rep-2/resources.csv": "6001f2480fef823d734ae566d6f34dadcd836745dd321173884ca5f1eb4a06f4",
+}
+
+
+def test_campaign_bytes_are_pinned(tmp_path, monkeypatch):
+    # meta.json embeds the plan's out_dir and the host's Python version
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(platform, "python_version", lambda: "3.11.7")
+    plan = synthetic_plan("runs", duration_s=60, warmup_s=10, repetitions=3, seed=5)
+    generate_campaign(plan, seed=5, fail_reps={1})
+    root = tmp_path / "runs"
+    got = {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+    assert got == PINNED_CAMPAIGN
 
 
 # --------------------------------------------------------- warm-up trimming
@@ -237,9 +271,9 @@ def test_trim_rejects_warmup_longer_than_trace(tmp_path):
 def test_trim_leaves_raw_files_untouched(tmp_path):
     plan = synthetic_plan(tmp_path / "c", duration_s=60, warmup_s=5, seed=5)
     artifact = generate_trial(plan, 0, seed=5)
-    before = (artifact.directory / "power.csv").read_bytes()
+    before = (artifact / "power.csv").read_bytes()
     trim_warmup(load_artifact(artifact))
-    assert (artifact.directory / "power.csv").read_bytes() == before
+    assert (artifact / "power.csv").read_bytes() == before
 
 
 # -------------------------------------------------------------- validity
@@ -321,7 +355,7 @@ def test_execute_trial_smoke(tmp_path):
     assert len(ts.power) >= 4
     assert len(ts.requests) > 0
     assert all(r.success for r in ts.requests)
-    assert (artifact.directory / "service.log").exists()
+    assert (artifact / "service.log").exists()
 
 
 def test_trials_are_isolated_between_repetitions(tmp_path):
@@ -353,7 +387,7 @@ def test_campaign_continues_past_a_failing_trial(tmp_path, monkeypatch):
         out = (tmp_path / "camp" / f"rep-{rep}")
         out.mkdir(parents=True, exist_ok=True)
         (out / "meta.json").write_text('{"status": "ok"}\n')
-        return RunArtifact(out)
+        return out
 
     monkeypatch.setattr(orch, "execute_trial", flaky)
     result = orch.run_campaign(plan)

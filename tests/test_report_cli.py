@@ -54,7 +54,7 @@ def test_bundle_contains_all_tables_and_traces(bundle):
         "diagnostics.csv",
         "runs.csv",
     ):
-        assert b.table_path(name).is_file()
+        assert (b.directory / name).is_file()
     assert b.report_path.is_file()
     traces = b.trace_paths()
     assert [p.parent.name for p in traces] == ["rep-0", "rep-1"]
@@ -82,7 +82,7 @@ def test_csv_headers_are_exact(bundle):
         ],
     }
     for name, header in expected.items():
-        assert read_header(b.table_path(name)) == header, name
+        assert read_header(b.directory / name) == header, name
     assert read_header(b.trace_paths()[0]) == [
         "t_s", "rt_ms", "req_rate", "failures",
         "cpu_util", "memory_bytes", "cpu_power_w", "dram_power_w",
@@ -91,7 +91,7 @@ def test_csv_headers_are_exact(bundle):
 
 def test_regression_rows_one_per_model_with_valid_tokens(bundle):
     _, b = bundle
-    rows = read_rows(b.table_path("regression.csv"))
+    rows = read_rows(b.directory / "regression.csv")
     assert [r["model"] for r in rows] == ["cpu", "dram"]
     for row in rows:
         assert row["decision"] in {"keep", "reject_up", "reject_down"}
@@ -102,7 +102,7 @@ def test_regression_rows_one_per_model_with_valid_tokens(bundle):
 def test_csv_files_use_lf_and_no_trailing_space(bundle):
     _, b = bundle
     for name in ("regression.csv", "runs.csv", "energy.csv"):
-        raw = b.table_path(name).read_bytes()
+        raw = (b.directory / name).read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
@@ -110,9 +110,9 @@ def test_csv_files_use_lf_and_no_trailing_space(bundle):
 def test_report_md_embeds_the_csv_numbers(bundle):
     _, b = bundle
     text = b.report_path.read_text(encoding="utf-8")
-    reg = read_rows(b.table_path("regression.csv"))
-    desc = read_rows(b.table_path("descriptive.csv"))[0]
-    energy = read_rows(b.table_path("energy.csv"))[0]
+    reg = read_rows(b.directory / "regression.csv")
+    desc = read_rows(b.directory / "descriptive.csv")[0]
+    energy = read_rows(b.directory / "energy.csv")[0]
     for row in reg:
         assert row["beta_lat"] in text
         assert row["p_lat"] in text
@@ -177,7 +177,7 @@ def test_render_notes_missing_traces(bundle, tmp_path):
         "descriptive.csv", "correlations.csv", "regression.csv",
         "energy.csv", "diagnostics.csv", "runs.csv",
     ):
-        (clone / name).write_bytes(b.table_path(name).read_bytes())
+        (clone / name).write_bytes((b.directory / name).read_bytes())
     text = render_report(clone)
     assert "No timeline data present" in text
 

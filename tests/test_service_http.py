@@ -1,4 +1,5 @@
 """End-to-end HTTP tests: in-process servers plus the CLI subprocess path."""
+import http.client
 import json
 import signal
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import threading
 import time
 from urllib.error import HTTPError
+from urllib.parse import urlsplit
 from urllib.request import urlopen
 
 import pytest
@@ -118,6 +120,33 @@ def test_concurrent_http_clients_all_served(running):
     assert all(occ == 1 for _, occ in results)
 
 
+def open_keepalive(host, port, n, timeout_s=3.0):
+    """*n* connections, each left open after one answered /healthz."""
+    conns = []
+    for _ in range(n):
+        conn = http.client.HTTPConnection(host, port, timeout=timeout_s)
+        conns.append(conn)
+        conn.request("GET", "/healthz")
+        resp = conn.getresponse()
+        assert (resp.status, resp.read()) == (200, b"ok")
+    return conns
+
+
+def test_every_open_keepalive_connection_is_answered(running):
+    # a keep-alive connection holds its server thread for its whole life,
+    # so every open connection, however many, needs a thread of its own
+    base = urlsplit(running(K.THE_RAMP))
+    conns = []
+    try:
+        conns = open_keepalive(base.hostname, base.port, 65)
+        for conn in conns:  # and each one stays usable
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read() == b"ok"
+    finally:
+        for conn in conns:
+            conn.close()
+
+
 # ----------------------------------------------------------- subprocess layer
 
 
@@ -161,6 +190,23 @@ def test_service_subprocess_lifecycle():
     finally:
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=10) == 0
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def test_service_exits_on_sigterm_while_idle_connections_stay_open():
+    proc, announce = launch_service()
+    conns = []
+    try:
+        conns = open_keepalive(announce["host"], announce["port"], 3)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=2) == 0
+    finally:
+        for conn in conns:
+            conn.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
         proc.stdout.close()
         proc.stderr.close()
 

@@ -1,4 +1,5 @@
 """Direct (no-HTTP) behavioral tests for the ten antipattern handlers."""
+import gc
 import statistics
 import threading
 import time
@@ -46,6 +47,27 @@ def timed(fn, *args, **kw):
 def median_ms(fn, runs=7, *args, **kw):
     fn(*args, **kw)  # warm-up
     return statistics.median(timed(fn, *args, **kw)[1] for _ in range(runs))
+
+
+def median_cpu_ratio(slow, fast, runs):
+    """Median over *runs* rounds of slow()'s cost over fast()'s, for
+    single-thread handlers, in this thread's CPU time: time spent preempted
+    does not count. Each round times the two calls back to back, so a slow
+    stretch of the host hits both, and the collector is held off so that a
+    collection of other tests' garbage lands in neither."""
+    fast(), slow()  # warm-up
+    ratios = []
+    gc.disable()
+    try:
+        for _ in range(runs):
+            t0 = time.thread_time()
+            fast()
+            t1 = time.thread_time()
+            slow()
+            ratios.append((time.thread_time() - t1) / (t1 - t0))
+    finally:
+        gc.enable()
+    return statistics.median(ratios)
 
 
 # ------------------------------------------------------- unbalanced processing
@@ -108,9 +130,12 @@ def test_unnecessary_zero_iterations_is_baseline_fast():
 
 def test_unnecessary_work_scales_linearly():
     state, cfg = fresh(K.UNNECESSARY_PROCESSING)
-    t_n = median_ms(handle_unnecessary_processing, 7, state, cfg, 30_000)
-    t_2n = median_ms(handle_unnecessary_processing, 7, state, cfg, 60_000)
-    assert 1.6 <= t_2n / t_n <= 2.4
+    ratio = median_cpu_ratio(
+        lambda: handle_unnecessary_processing(state, cfg, 60_000),
+        lambda: handle_unnecessary_processing(state, cfg, 30_000),
+        7,
+    )
+    assert 1.6 <= ratio <= 2.4
 
 
 def test_unnecessary_reply_is_constant():
@@ -177,9 +202,12 @@ def test_sisyphus_scales_with_fixture():
     state1, cfg1 = fresh(K.SISYPHUS_RETRIEVAL, dataset_scale=1)
     state3, cfg3 = fresh(K.SISYPHUS_RETRIEVAL, dataset_scale=3)
     assert handle_sisyphus_retrieval(state3, cfg3)["scanned_count"] == 2490
-    t1 = median_ms(handle_sisyphus_retrieval, 9, state1, cfg1)
-    t3 = median_ms(handle_sisyphus_retrieval, 9, state3, cfg3)
-    assert 1.5 <= t3 / t1 <= 4.5  # ~3x, generous timing margin
+    ratio = median_cpu_ratio(
+        lambda: handle_sisyphus_retrieval(state3, cfg3),
+        lambda: handle_sisyphus_retrieval(state1, cfg1),
+        9,
+    )
+    assert 1.5 <= ratio <= 4.5  # ~3x, generous timing margin
 
 
 def test_sisyphus_rejects_bad_paging():
