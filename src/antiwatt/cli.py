@@ -217,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"antiwatt: trial failed during {exc.stage}: {exc.cause}", file=sys.stderr)
         return RUNTIME_EXIT
     except (AntiwattError, ValueError, OSError) as exc:
-        # e.g. a singular design: the message names the offending column
+        # e.g. a campaign with no valid repetition
         print(f"antiwatt: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
-from .stats.campaign import CampaignAnalysis
-from .stats.regression import DECISION_DISPLAY
+from .stats.campaign import CampaignAnalysis, ModelReport
+from .stats.regression import DECISION_DISPLAY, NOT_ESTIMATED
 
 DESCRIPTIVE_NAME = "descriptive.csv"
 CORRELATIONS_NAME = "correlations.csv"
@@ -63,6 +63,20 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]])
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _estimate_cells(model: ModelReport) -> List[str]:
+    """beta_lat, ci_low, ci_high, p_lat and decision of one regression.csv row."""
+    if model.not_estimated is not None:
+        return ["", "", "", "", f"{NOT_ESTIMATED}: {model.not_estimated}"]
+    inference = model.rt_inference
+    return [
+        _f6(inference.beta),
+        _f6(inference.ci_low),
+        _f6(inference.ci_high),
+        _f6(inference.p_value),
+        inference.decision,
+    ]
 
 
 @dataclass(frozen=True)
@@ -161,13 +175,9 @@ def write_bundle(analysis: CampaignAnalysis, out_dir: Union[str, Path]) -> Repor
             [
                 experiment,
                 model.name,
-                _f6(model.rt_inference.beta),
-                _f6(model.rt_inference.ci_low),
-                _f6(model.rt_inference.ci_high),
-                _f6(model.rt_inference.p_value),
-                model.rt_inference.decision,
+                *_estimate_cells(model),
                 str(model.n),
-                _f6(model.r_squared),
+                "" if model.r_squared is None else _f6(model.r_squared),
                 f"{analysis.alpha:g}",
             ]
             for model in analysis.models
@@ -193,6 +203,7 @@ def write_bundle(analysis: CampaignAnalysis, out_dir: Union[str, Path]) -> Repor
                 _fb(diag.null_rejected),
             ]
             for model in analysis.models
+            if model.not_estimated is None
             for diag in (model.breusch_pagan, model.anderson_darling)
         ],
     )
@@ -356,9 +367,12 @@ def render_report(bundle_dir: Union[str, Path]) -> str:
     lines += ["", "_Emphasized_ pairs share the same sign (Pearson and Spearman agree).", ""]
 
     lines += ["## Power vs response time (OLS with HC3 errors)", ""]
-    lines += _md_table(
-        ["Experiment", "Model", "β_lat", "CI low", "CI high", "p_lat", "Decision"],
-        [
+    table_rows, not_estimated = [], []
+    for row in regressions:
+        decision, _, reason = row["decision"].partition(": ")
+        if decision == NOT_ESTIMATED:
+            not_estimated.append(f"- {row['model'].upper()} not estimated: {reason}")
+        table_rows.append(
             [
                 experiment,
                 row["model"].upper(),
@@ -366,12 +380,15 @@ def render_report(bundle_dir: Union[str, Path]) -> str:
                 row["ci_low"],
                 row["ci_high"],
                 row["p_lat"],
-                DECISION_DISPLAY.get(row["decision"], row["decision"]),
+                DECISION_DISPLAY.get(decision, decision),
             ]
-            for row in regressions
-        ],
+        )
+    lines += _md_table(
+        ["Experiment", "Model", "β_lat", "CI low", "CI high", "p_lat", "Decision"], table_rows
     )
     lines += [""]
+    if not_estimated:
+        lines += not_estimated + [""]
 
     lines += ["## Residual diagnostics", ""]
     lines += _md_table(

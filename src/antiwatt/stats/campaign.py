@@ -3,8 +3,11 @@
 Repetition traces are trimmed, aligned, and pooled row-wise (not averaged
 per run), then descriptive stats, correlations against response time, both
 OLS models with HC3 inference on the response-time coefficient, residual
-diagnostics, and per-run trapezoidal energies are computed.  Everything here
-is a pure function of artifact bytes, so re-analysis is bit-reproducible.
+diagnostics, and per-run trapezoidal energies are computed.  Each model is
+fitted on its own: one whose design is singular or has a leverage-1 row is
+reported as not estimated, with the reason, and the other still stands.
+Everything here is a pure function of artifact bytes, so re-analysis is
+bit-reproducible.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from antiwatt.errors import TrialError
+from antiwatt.errors import DegenerateInferenceError, SingularDesignError, TrialError
 from antiwatt.stats.align import AlignedTable, TimelineRow, align, per_second
 from antiwatt.stats.core import CorrelationPair, DescriptiveStats, correlation_pair, describe
 from antiwatt.stats.diagnostics import DiagnosticResult, anderson_darling, breusch_pagan
@@ -52,16 +55,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelReport:
-    """One fitted power model plus the inference the tables report."""
+    """One fitted power model plus the inference the tables report.
+
+    A model that cannot be estimated keeps its name, n and columns, carries
+    the reason in ``not_estimated``, and has no fit: ``r_squared``,
+    ``rt_inference`` and both diagnostics are None, ``coefficients`` empty.
+    """
 
     name: str  # "cpu" | "dram"
     n: int
-    r_squared: float
+    r_squared: Optional[float]
     column_names: Tuple[str, ...]
     coefficients: Tuple[float, ...]
-    rt_inference: CoefficientInference
-    breusch_pagan: DiagnosticResult
-    anderson_darling: DiagnosticResult
+    rt_inference: Optional[CoefficientInference]
+    breusch_pagan: Optional[DiagnosticResult]
+    anderson_darling: Optional[DiagnosticResult]
+    not_estimated: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -107,9 +116,22 @@ def build_timeline(ts: TraceSet) -> Tuple[TimelineRow, ...]:
 def _fit_model(name: str, table: AlignedTable, alpha: float) -> ModelReport:
     X, y = assemble_design(table, name)
     names = CPU_MODEL_COLUMNS if name == "cpu" else DRAM_MODEL_COLUMNS
-    fit = ols_fit(X, y, column_names=names)
-    cov = hc3_covariance(fit, X)
-    inference = infer_coefficient(fit, cov, RT_COEF_INDEX, alpha=alpha)
+    try:
+        fit = ols_fit(X, y, column_names=names)
+        inference = infer_coefficient(fit, hc3_covariance(fit, X), RT_COEF_INDEX, alpha=alpha)
+    except (SingularDesignError, DegenerateInferenceError) as exc:
+        logger.warning("%s model not estimated: %s", name, exc)
+        return ModelReport(
+            name=name,
+            n=len(y),
+            r_squared=None,
+            column_names=tuple(names),
+            coefficients=(),
+            rt_inference=None,
+            breusch_pagan=None,
+            anderson_darling=None,
+            not_estimated=str(exc),
+        )
     return ModelReport(
         name=name,
         n=fit.n,

@@ -22,9 +22,16 @@ logger = logging.getLogger(__name__)
 KEEP = "keep"
 REJECT_UP = "reject_up"
 REJECT_DOWN = "reject_down"
+# a model that could not be fitted; its decision cell reads "not_estimated: <reason>"
+NOT_ESTIMATED = "not_estimated"
 
 # Human-readable forms used in the Markdown report.
-DECISION_DISPLAY = {KEEP: "Keep", REJECT_UP: "Reject ↑", REJECT_DOWN: "Reject ↓"}
+DECISION_DISPLAY = {
+    KEEP: "Keep",
+    REJECT_UP: "Reject ↑",
+    REJECT_DOWN: "Reject ↓",
+    NOT_ESTIMATED: "Not estimated",
+}
 
 CPU_MODEL_COLUMNS = ("intercept", "rt_ms", "req_rate", "cpu_util")
 DRAM_MODEL_COLUMNS = ("intercept", "rt_ms", "req_rate", "cpu_util", "memory_bytes")

@@ -2,9 +2,11 @@
 
 One process serves exactly one antipattern at /<kind-slug>; any other path is
 a 404 naming the expected endpoint. Replies are JSON WorkResponse envelopes
-over HTTP/1.1 keep-alive. Each connection gets its own thread for its whole
-life, so every concurrent user is served however many there are (CPU-bound
-handler code is serialized by the interpreter anyway on a single core).
+over HTTP/1.1 keep-alive, each written in one send with only the headers a
+client needs (Content-Type, Content-Length, Date, and Connection: close when
+closing). Each connection gets its own thread for its whole life, so every
+concurrent user is served however many there are (CPU-bound handler code is
+serialized by the interpreter anyway on a single core).
 
 On startup the process prints a single JSON "listening" line to stdout —
 the orchestrator parses it to learn the bound port and the echoed config.
@@ -115,24 +117,35 @@ class WorkloadHTTPHandler(BaseHTTPRequestHandler):
     # without TCP_NODELAY, Nagle + delayed ACK stalls every keep-alive
     # response by ~40 ms, burying the workloads' own timing signal
     disable_nagle_algorithm = True
+    # buffered: status line, headers and body leave in one send, flushed by
+    # handle_one_request after each method (and by finish() on error paths)
+    wbufsize = -1
+
+    def send_response(self, code, message=None):
+        # reached only from send_error: status line and Date (RFC 9110
+        # requires it), no Server header and no per-request access log line
+        self.send_response_only(code, message)
+        self.send_header("Date", self.date_time_string())
+
+    def _reply(self, code: int, content_type: str, body: bytes) -> None:
+        close = "Connection: close\r\n" if self.close_connection else ""
+        self.wfile.write(
+            (
+                f"{self.protocol_version} {code} {self.responses[code][0]}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n{close}\r\n"
+            ).encode("latin-1")
+        )
+        self.wfile.write(body)
 
     def _send_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._reply(code, "application/json", json.dumps(payload).encode("utf-8"))
 
     def do_GET(self):  # noqa: N802 - stdlib naming
         parts = urlsplit(self.path)
         if parts.path == "/healthz":
-            body = b"ok"
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._reply(200, "text/plain", b"ok")
             return
         expected = "/" + self.server.config.kind.slug
         if parts.path != expected:

@@ -14,7 +14,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..fixture import RelationalFixture, generate_fixture
-from .config import WorkloadConfig
+from .config import AntipatternKind, WorkloadConfig
+
+# the kinds whose handlers read state.fixture; the others start without it
+FIXTURE_KINDS = frozenset(
+    {
+        AntipatternKind.SISYPHUS_RETRIEVAL,
+        AntipatternKind.GOD_CLASS,
+        AntipatternKind.CIRCUITOUS_TREASURE_HUNT,
+    }
+)
 
 
 @dataclass
@@ -59,7 +68,7 @@ class JamClock:
 @dataclass
 class ServiceState:
     config: WorkloadConfig
-    fixture: RelationalFixture
+    fixture: Optional[RelationalFixture]  # None unless config.kind is in FIXTURE_KINDS
     rng: random.Random
     started_at: float = field(default_factory=time.time)
     rng_lock: threading.Lock = field(default_factory=threading.Lock)
@@ -82,9 +91,10 @@ class ServiceState:
             return f"{self.rng.getrandbits(n_bits):0{n_bits // 4}x}"
 
 
-def make_state(config: WorkloadConfig, fixture: Optional[RelationalFixture] = None) -> ServiceState:
-    """Fresh state for a fresh service process; fixture derives from config."""
-    if fixture is None:
+def make_state(config: WorkloadConfig) -> ServiceState:
+    """Fresh state for a fresh service process; the fixture derives from config."""
+    fixture = None
+    if config.kind in FIXTURE_KINDS:
         fixture = generate_fixture(config.dataset_seed, config.dataset_scale)
     return ServiceState(
         config=config,

@@ -253,33 +253,39 @@ def test_criterion_4_behavioral_signatures():
     assert rho > 0.5, f"ramp Spearman(index, rt) = {rho:.3f}"
     details.append(f"ramp n={len(records)} ρ={rho:.3f}")
 
-    # OneLaneBridge: eight concurrent calls serialize through the gate
+    # OneLaneBridge: eight concurrent calls serialize through the gate.
+    # Rounds of one crossing and one 8-way makespan alternate, and the bound
+    # holds for the median per-round ratio, so a slow spell on a shared host
+    # lands on both halves of a round instead of on one lone measurement.
     state = make_state(default_config(AntipatternKind.ONE_LANE_BRIDGE))
     cfg = state.config
     handle_one_lane_bridge(state, cfg)  # warm caches
-    singles = []
-    for _ in range(3):
-        s0 = time.perf_counter()
-        handle_one_lane_bridge(state, cfg)
-        singles.append(time.perf_counter() - s0)
-    single = sorted(singles)[1]
-    barrier = threading.Barrier(8)
+    rounds = 5
 
-    def crossing():
+    def crossing(barrier):
         barrier.wait()
         handle_one_lane_bridge(state, cfg)
 
-    threads = [threading.Thread(target=crossing) for _ in range(8)]
-    m0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    makespan = time.perf_counter() - m0
-    ratio = makespan / single
-    assert ratio >= 6.0, f"bridge makespan only {ratio:.1f}x single ({single * 1000:.1f} ms)"
+    ratios = []
+    for _ in range(rounds):
+        s0 = time.perf_counter()
+        handle_one_lane_bridge(state, cfg)
+        single = time.perf_counter() - s0
+        barrier = threading.Barrier(8)
+        threads = [threading.Thread(target=crossing, args=(barrier,)) for _ in range(8)]
+        m0 = time.perf_counter()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        ratios.append((time.perf_counter() - m0) / single)
+    ratio = sorted(ratios)[rounds // 2]
+    assert ratio >= 6.0, (
+        f"bridge makespan only {ratio:.1f}x single in the median round "
+        f"(rounds: {', '.join(f'{r:.1f}' for r in ratios)})"
+    )
     final = handle_one_lane_bridge(state, cfg)
-    assert final["counter"] == 1 + 3 + 8 + 1  # every crossing counted exactly once
+    assert final["counter"] == 1 + rounds * (1 + 8) + 1  # every crossing counted exactly once
     assert final["max_occupancy"] == 1
     details.append(f"bridge {ratio:.1f}x")
 

@@ -182,3 +182,40 @@ def test_run_load_think_time_paces_users(sleepy_server):
     _SleepHandler.sleep_s = 0.0
     log = run_load(plan(users=1, duration=2.0, endpoint=url_of(sleepy_server), think=200.0))
     assert 5 <= len(log.records) <= 12  # ~2 s / 0.2 s think
+
+
+class _OneRequestPerConnectionHandler(BaseHTTPRequestHandler):
+    """Answers as if keeping the connection alive, then drops it."""
+
+    protocol_version = "HTTP/1.1"
+    served = 0
+
+    def do_GET(self):  # noqa: N802 - stdlib naming
+        type(self).served += 1
+        body = b'{"ok": true}'
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = True  # no "Connection: close" told to the client
+
+    def log_message(self, *args):
+        pass
+
+
+def test_run_load_retries_a_dropped_keepalive_once_and_records_it_once():
+    _OneRequestPerConnectionHandler.served = 0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _OneRequestPerConnectionHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        # the think pause leaves each connection idle long enough to be gone
+        log = run_load(plan(users=1, duration=1.0, endpoint=url_of(server), think=100.0))
+    finally:
+        server.shutdown()
+        server.server_close()
+    # every request after the first met a dropped connection and was retried
+    # on a fresh one: one successful record per request the server answered
+    assert len(log.records) >= 3
+    assert log.failure_count == 0
+    assert len(log.records) == _OneRequestPerConnectionHandler.served

@@ -332,7 +332,9 @@ def test_cli_analyze_all_failed_campaign_is_runtime_error(tmp_path, capsys):
     assert "no valid" in capsys.readouterr().err
 
 
-def test_cli_analyze_flat_memory_column_is_runtime_error_naming_it(tmp_path, capsys):
+def _campaign_with_memory(tmp_path, memory_of_row):
+    """A one-rep synthetic campaign whose resources.csv memory column is
+    replaced row by row (``memory_of_row(i, rows)`` for data row i)."""
     plan = synthetic_plan(tmp_path / "runs", duration_s=30.0, warmup_s=5.0,
                           repetitions=1)
     generate_campaign(plan, seed=1)
@@ -340,14 +342,48 @@ def test_cli_analyze_flat_memory_column_is_runtime_error_naming_it(tmp_path, cap
     with open(resources, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     column = rows[0].index("memory_bytes")
-    for row in rows[1:]:
-        row[column] = "26202112"  # an RSS that never moves
+    for i, row in enumerate(rows[1:]):
+        row[column] = str(memory_of_row(i, len(rows) - 1))
     with open(resources, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
-    rc = cli.main(["analyze", str(tmp_path / "runs")])
-    assert rc == 4
-    last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert last == "antiwatt: design matrix is singular; offending column: memory_bytes"
+    return tmp_path / "runs"
+
+
+def _analyze_keeps_cpu_and_names_dram_reason(runs):
+    assert cli.main(["analyze", str(runs)]) == 0
+    bundle_dir = runs / "report"
+    cpu, dram = read_rows(bundle_dir / "regression.csv")
+    assert cpu["model"] == "cpu" and cpu["decision"] in ("keep", "reject_up", "reject_down")
+    float(cpu["beta_lat"]), float(cpu["p_lat"])  # estimated: numbers, not blanks
+    assert dram["model"] == "dram"
+    assert dram["decision"].startswith("not_estimated: ")
+    assert dram["beta_lat"] == dram["ci_low"] == dram["ci_high"] == dram["p_lat"] == ""
+    assert dram["r_squared"] == "" and dram["n"] == cpu["n"]
+    assert {row["model"] for row in read_rows(bundle_dir / "diagnostics.csv")} == {"cpu"}
+    reason = dram["decision"].split(": ", 1)[1]
+    report = (bundle_dir / REPORT_NAME).read_text(encoding="utf-8")
+    assert f"- DRAM not estimated: {reason}" in report
+    assert "| DRAM |  |  |  |  | Not estimated |" in report
+    before = (bundle_dir / REPORT_NAME).read_bytes()
+    assert cli.main(["report", str(bundle_dir)]) == 0
+    assert (bundle_dir / REPORT_NAME).read_bytes() == before
+    return reason
+
+
+def test_cli_analyze_flat_memory_column_reports_dram_not_estimated(tmp_path):
+    runs = _campaign_with_memory(tmp_path, lambda i, n: 26202112)  # an RSS that never moves
+    reason = _analyze_keeps_cpu_and_names_dram_reason(runs)
+    assert reason == "design matrix is singular; offending column: memory_bytes"
+
+
+def test_cli_analyze_memory_stepping_once_reports_dram_not_estimated(tmp_path):
+    # the RSS grows by one page in the last second only, so that row alone
+    # carries the memory column and fits itself exactly (leverage 1)
+    runs = _campaign_with_memory(
+        tmp_path, lambda i, n: 26202112 + (4096 if i == n - 1 else 0)
+    )
+    reason = _analyze_keeps_cpu_and_names_dram_reason(runs)
+    assert reason == "HC3 undefined: a leverage-1 point fits itself exactly"
 
 
 def test_cli_report_on_non_bundle_is_runtime_error(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """End-to-end HTTP tests: in-process servers plus the CLI subprocess path."""
 import http.client
 import json
+import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
+from email.utils import parsedate_to_datetime
 from urllib.error import HTTPError
 from urllib.parse import urlsplit
 from urllib.request import urlopen
@@ -13,8 +16,10 @@ from urllib.request import urlopen
 import pytest
 
 from antiwatt.errors import CapabilityError
+from antiwatt.fixture import generate_fixture
 from antiwatt.workload import AntipatternKind, default_config
-from antiwatt.workload.service import calibrate_config, pin_to_core, serve
+from antiwatt.workload.service import WorkloadHTTPHandler, calibrate_config, pin_to_core, serve
+from antiwatt.workload.state import make_state
 
 K = AntipatternKind
 
@@ -23,8 +28,10 @@ K = AntipatternKind
 def running(request):
     """Start a server for the given kind; yields its base URL."""
 
-    def start(kind, **overrides):
+    def start(kind, handler=None, **overrides):
         server = serve(default_config(kind, **overrides))
+        if handler is not None:
+            server.RequestHandlerClass = handler
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
 
@@ -118,6 +125,95 @@ def test_concurrent_http_clients_all_served(running):
     assert len(results) == 8
     assert all(status == 200 for status, _ in results)
     assert all(occ == 1 for _, occ in results)
+
+
+# ------------------------------------------------------------------ reply path
+
+
+class _CountingSocket(socket.socket):
+    """A second handle on an accepted connection that counts its sends."""
+
+    def __init__(self, sock):
+        super().__init__(sock.family, sock.type, sock.proto, fileno=os.dup(sock.fileno()))
+        self.sends = 0
+
+    def send(self, data, *args):
+        self.sends += 1
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.sends += 1
+        return super().sendall(data, *args)
+
+
+class _CountingHandler(WorkloadHTTPHandler):
+    """Writes every reply through a counting socket; one per connection."""
+
+    connections = []
+
+    def setup(self):
+        self.request = _CountingSocket(self.request)
+        self.connections.append(self.request)
+        super().setup()
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            self.request.close()
+
+
+def test_a_reply_leaves_in_one_write(running):
+    _CountingHandler.connections = []
+    base = urlsplit(running(K.UNNECESSARY_PROCESSING, handler=_CountingHandler, iterations=1))
+    conn = http.client.HTTPConnection(base.hostname, base.port, timeout=10)
+    try:
+        for n in (1, 2, 3):
+            conn.request("GET", "/unnecessary-processing")
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["status"] == "success"
+            # status line, headers and body in one send per reply
+            assert [c.sends for c in _CountingHandler.connections] == [n]
+    finally:
+        conn.close()
+
+
+def _reply_headers(base, path, headers):
+    conn = http.client.HTTPConnection(base.hostname, base.port, timeout=10)
+    try:
+        conn.request("GET", path, headers=headers)
+        resp = conn.getresponse()
+        resp.read()
+        return resp.status, resp.getheaders()
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("path, status", [
+    ("/unnecessary-processing", 200), ("/healthz", 200), ("/elsewhere", 404),
+])
+def test_a_reply_carries_exactly_its_headers(running, path, status):
+    base = urlsplit(running(K.UNNECESSARY_PROCESSING, iterations=1))
+    got_status, headers = _reply_headers(base, path, {})
+    assert got_status == status
+    assert sorted(name for name, _ in headers) == ["Content-Length", "Content-Type", "Date"]
+    sent = parsedate_to_datetime(dict(headers)["Date"]).timestamp()
+    assert abs(sent - time.time()) < 5
+    got_status, headers = _reply_headers(base, path, {"Connection": "close"})
+    assert got_status == status
+    assert sorted(headers)[0] == ("Connection", "close")
+    assert sorted(name for name, _ in headers) == [
+        "Connection", "Content-Length", "Content-Type", "Date",
+    ]
+
+
+def test_make_state_builds_the_fixture_only_for_its_readers():
+    assert make_state(default_config(K.UNNECESSARY_PROCESSING)).fixture is None
+    for kind in (K.SISYPHUS_RETRIEVAL, K.GOD_CLASS, K.CIRCUITOUS_TREASURE_HUNT):
+        config = default_config(kind)
+        assert make_state(config).fixture == generate_fixture(
+            config.dataset_seed, config.dataset_scale
+        )
 
 
 def open_keepalive(host, port, n, timeout_s=3.0):
