@@ -4,9 +4,10 @@ One process serves exactly one antipattern at /<kind-slug>; any other path is
 a 404 naming the expected endpoint. Replies are JSON WorkResponse envelopes
 over HTTP/1.1 keep-alive, each written in one send with only the headers a
 client needs (Content-Type, Content-Length, Date, and Connection: close when
-closing). Each connection gets its own thread for its whole life, so every
-concurrent user is served however many there are (CPU-bound handler code is
-serialized by the interpreter anyway on a single core).
+closing). A request's head is read for its Connection field alone, with no
+header object built. Each connection gets its own thread for its whole life,
+so every concurrent user is served however many there are (CPU-bound handler
+code is serialized by the interpreter anyway on a single core).
 
 On startup the process prints a single JSON "listening" line to stdout —
 the orchestrator parses it to learn the bound port and the echoed config.
@@ -22,6 +23,7 @@ import threading
 import time
 import zlib
 from dataclasses import replace
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qsl, urlsplit
@@ -52,6 +54,11 @@ from .handlers import (
 from .state import ServiceState, make_state
 
 logger = logging.getLogger(__name__)
+
+# http.client's limits on a request head: bytes in one line, and lines in
+# the head counting the blank line that ends it
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
 
 
 def _int_param(params: dict, name: str) -> Optional[int]:
@@ -120,6 +127,77 @@ class WorkloadHTTPHandler(BaseHTTPRequestHandler):
     # buffered: status line, headers and body leave in one send, flushed by
     # handle_one_request after each method (and by finish() on error paths)
     wbufsize = -1
+
+    def parse_request(self):
+        """Parse the request line by BaseHTTPRequestHandler's rules, then read
+        the head line by line for the one field the service acts on.
+
+        The stock parse_request hands the head to http.client.parse_headers,
+        whose email-package parse is the largest cost of a cheap request, to
+        build a header object of which only Connection is read. This keeps
+        its limits (431 for a line over 65,536 bytes or more than 100 lines)
+        and its close decision. It differs on purpose in two cases the email
+        parser let through: a field line with no colon and an obs-fold line
+        get 400 (RFC 9112 sections 5 and 5.2). Expect is ignored: requests
+        carry no body, so the reply itself answers it (RFC 9110 10.1.1).
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            numbers = version[5:].split(".") if version.startswith("HTTP/") else []
+            # isdecimal, not isdigit: int() refuses the digit "²"
+            if len(numbers) != 2 or not all(n.isdecimal() and len(n) <= 10 for n in numbers):
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
+                return False
+            major, minor = int(numbers[0]), int(numbers[1])
+            if major >= 2:
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({version[5:]})",
+                )
+                return False
+            self.close_connection = (major, minor) < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2 and command != "GET":
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
+            return False
+        self.command = command
+        # gh-87389: clients read a path starting with // as a host, which
+        # would open a redirect; reduce it to a single /
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        connection = None
+        for _ in range(_MAX_HEAD_LINES):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.partition(b":")
+            if not colon or line[0] in b" \t":
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line")
+                return False
+            if connection is None and name.lower() == b"connection":
+                connection = value.lstrip(b" \t").rstrip(b"\r\n").lower()
+        else:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers")
+            return False
+        if connection == b"close":
+            self.close_connection = True
+        elif connection == b"keep-alive":
+            self.close_connection = False
+        return True
 
     def send_response(self, code, message=None):
         # reached only from send_error: status line and Date (RFC 9110

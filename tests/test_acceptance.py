@@ -53,6 +53,7 @@ from antiwatt.workload.state import make_state
 
 import datasets
 import frozen_oracle
+from timing import concurrently, median_round_ratio
 
 
 def _report(n: int, detail: str) -> None:
@@ -259,33 +260,19 @@ def test_criterion_4_behavioral_signatures():
     # lands on both halves of a round instead of on one lone measurement.
     state = make_state(default_config(AntipatternKind.ONE_LANE_BRIDGE))
     cfg = state.config
-    handle_one_lane_bridge(state, cfg)  # warm caches
     rounds = 5
 
-    def crossing(barrier):
-        barrier.wait()
+    def crossing():
         handle_one_lane_bridge(state, cfg)
 
-    ratios = []
-    for _ in range(rounds):
-        s0 = time.perf_counter()
-        handle_one_lane_bridge(state, cfg)
-        single = time.perf_counter() - s0
-        barrier = threading.Barrier(8)
-        threads = [threading.Thread(target=crossing, args=(barrier,)) for _ in range(8)]
-        m0 = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        ratios.append((time.perf_counter() - m0) / single)
-    ratio = sorted(ratios)[rounds // 2]
-    assert ratio >= 6.0, (
-        f"bridge makespan only {ratio:.1f}x single in the median round "
-        f"(rounds: {', '.join(f'{r:.1f}' for r in ratios)})"
+    ratio = median_round_ratio(
+        lambda: concurrently(crossing, 8), crossing, rounds, time.perf_counter
     )
+    assert ratio >= 6.0, f"bridge makespan only {ratio:.1f}x single in the median round"
     final = handle_one_lane_bridge(state, cfg)
-    assert final["counter"] == 1 + rounds * (1 + 8) + 1  # every crossing counted exactly once
+    # every crossing counted once: the warm-up round and each timed round
+    # (one crossing, then 8 at once), then this one
+    assert final["counter"] == (1 + rounds) * (1 + 8) + 1
     assert final["max_occupancy"] == 1
     details.append(f"bridge {ratio:.1f}x")
 

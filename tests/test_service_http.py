@@ -2,6 +2,7 @@
 import http.client
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 from email.utils import parsedate_to_datetime
+from http.server import BaseHTTPRequestHandler
 from urllib.error import HTTPError
 from urllib.parse import urlsplit
 from urllib.request import urlopen
@@ -24,25 +26,31 @@ from antiwatt.workload.state import make_state
 K = AntipatternKind
 
 
+def start_server(kind, handler=None, **overrides):
+    """Serve *kind* from a thread; returns its base URL and a stop function."""
+    server = serve(default_config(kind, **overrides))
+    if handler is not None:
+        server.RequestHandlerClass = handler
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+
+    def stop():
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+    host, port = server.server_address[:2]
+    return f"http://{host}:{port}", stop
+
+
 @pytest.fixture
 def running(request):
     """Start a server for the given kind; yields its base URL."""
 
     def start(kind, handler=None, **overrides):
-        server = serve(default_config(kind, **overrides))
-        if handler is not None:
-            server.RequestHandlerClass = handler
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-
-        def stop():
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-
+        base, stop = start_server(kind, handler, **overrides)
         request.addfinalizer(stop)
-        host, port = server.server_address[:2]
-        return f"http://{host}:{port}"
+        return base
 
     return start
 
@@ -214,6 +222,131 @@ def test_make_state_builds_the_fixture_only_for_its_readers():
         assert make_state(config).fixture == generate_fixture(
             config.dataset_seed, config.dataset_scale
         )
+
+
+# ---------------------------------------------------------------- request head
+
+
+class _StockHeadHandler(WorkloadHTTPHandler):
+    """The reference: the service's handler with the stdlib's parse_request."""
+
+    parse_request = BaseHTTPRequestHandler.parse_request
+
+
+@pytest.fixture(scope="module")
+def head_servers():
+    """The service and the reference, started once for every head case."""
+    started = [
+        start_server(K.UNNECESSARY_PROCESSING, handler, iterations=1)
+        for handler in (None, _StockHeadHandler)
+    ]
+    yield [urlsplit(base) for base, _ in started]
+    for _, stop in started:
+        stop()
+
+
+def _read_status(reader):
+    """Status code of the next reply on *reader*, its body skipped; None
+    when the server has closed the connection instead."""
+    try:
+        status_line = reader.readline()
+        if not status_line:
+            return None
+        if not status_line.startswith(b"HTTP/"):
+            # an error page alone, as HTTP/0.9 has it: sent when the request
+            # line's version is refused, before any version is accepted
+            page = status_line + reader.read()
+            return int(re.search(rb"Error code: (\d+)", page)[1])
+        length = 0
+        for line in iter(reader.readline, b"\r\n"):
+            assert line, "connection closed inside a reply head"
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        reader.read(length)
+        return int(status_line.split()[1])
+    except ConnectionResetError:  # closed with request bytes left unread
+        return None
+
+
+def _status_and_kept(base, head):
+    """Send one raw request *head*: its reply's status, and whether the
+    connection stayed open (a second request on it is answered)."""
+    with socket.create_connection((base.hostname, base.port), timeout=10) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(head)
+        status = _read_status(reader)
+        try:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        except (BrokenPipeError, ConnectionResetError):
+            return status, False
+        return status, _read_status(reader) is not None
+
+
+_GET = b"GET /unnecessary-processing"
+
+
+def _fields(n):
+    return b"".join(b"X-Field-%d: %d\r\n" % (i, i) for i in range(n))
+
+
+@pytest.mark.parametrize("head", [
+    _GET + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+    _GET + b" HTTP/1.0\r\nHost: x\r\n\r\n",
+    _GET + b" HTTP/1.1\r\ncoNNection: ClOsE\r\n\r\n",
+    _GET + b" HTTP/1.0\r\nCONNECTION: Keep-Alive\r\n\r\n",
+    _GET + b" HTTP/1.1\r\nConnection: KEEP-alive\r\n\r\n",
+    _GET + b"\r\n\r\n",  # HTTP/0.9
+    _GET + b" extra HTTP/1.1\r\n\r\n",
+    _GET + b" HTTP/2.0\r\n\r\n",
+    _GET + b" HTTP/1\r\n\r\n",
+    _GET + b" HTTP/x.1\r\n\r\n",
+    _GET + b" HTTP/1.\xb2\r\n\r\n",  # a digit to str.isdigit, not to int()
+    _GET + b" HTTP/1.1\r\nConnection: close\r\nConnection: keep-alive\r\n\r\n",
+    b"GET //unnecessary-processing HTTP/1.1\r\n\r\n",
+    # 65,536 bytes a line is the limit, the line break counted
+    _GET + b" HTTP/1.1\r\nX-Pad: " + b"a" * (65_536 - 9) + b"\r\n\r\n",
+    _GET + b" HTTP/1.1\r\nX-Pad: " + b"a" * (65_537 - 9) + b"\r\n\r\n",
+    # 100 lines is the limit, the blank line that ends the head counted
+    _GET + b" HTTP/1.1\r\n" + _fields(99) + b"\r\n",
+    _GET + b" HTTP/1.1\r\n" + _fields(100) + b"\r\n",
+    _GET + b" HTTP/1.1\r\n" + _fields(101) + b"\r\n",
+], ids=[
+    "http11", "http10", "close", "keep-alive-10", "keep-alive-11", "http09",
+    "four-words", "http2", "http1", "httpx1", "superscript-digit",
+    "first-connection-wins", "double-slash",
+    "line-65536", "line-65537", "fields-99", "fields-100", "fields-101",
+])
+def test_request_head_matches_the_stdlib_parse(head_servers, head):
+    ours, stock = head_servers
+    expected = _status_and_kept(stock, head)
+    assert expected[0] is not None
+    assert _status_and_kept(ours, head) == expected
+
+
+@pytest.mark.parametrize("line", [
+    b"X-No-Colon\r\n",
+    b"X-Folded: a\r\n  b\r\n",
+], ids=["no-colon", "obs-fold"])
+def test_a_malformed_field_line_is_400(head_servers, line):
+    # the stdlib's email parse lets both through; RFC 9112 5 and 5.2 allow 400
+    base = head_servers[0]
+    head = _GET + b" HTTP/1.1\r\nHost: x\r\n" + line + b"\r\n"
+    assert _status_and_kept(base, head) == (400, False)
+
+
+def test_requests_are_served_without_the_stdlib_header_parse(head_servers, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("http.client.parse_headers called")
+
+    base = head_servers[0]
+    # the client side reads raw bytes: http.client would parse with it too
+    monkeypatch.setattr(http.client, "parse_headers", refuse)
+    with socket.create_connection((base.hostname, base.port), timeout=10) as sock:
+        reader = sock.makefile("rb")
+        for _ in range(3):
+            sock.sendall(_GET + b" HTTP/1.1\r\nHost: x\r\nAccept-Encoding: identity\r\n\r\n")
+            assert _read_status(reader) == 200
 
 
 def open_keepalive(host, port, n, timeout_s=3.0):

@@ -1,5 +1,4 @@
 """Direct (no-HTTP) behavioral tests for the ten antipattern handlers."""
-import gc
 import statistics
 import threading
 import time
@@ -7,6 +6,7 @@ import time
 import pytest
 
 from antiwatt.fixture import build_indexes
+from antiwatt.kernels import trig_loop
 from antiwatt.stats import spearman
 from antiwatt.workload import (
     AntipatternKind,
@@ -29,6 +29,7 @@ from antiwatt.workload.handlers import (
     handle_unnecessary_processing,
 )
 from test_fixture import make_hand_fixture
+from timing import concurrently, median_round_ratio
 
 K = AntipatternKind
 
@@ -44,32 +45,6 @@ def timed(fn, *args, **kw):
     return out, (time.perf_counter() - t0) * 1000.0
 
 
-def median_ms(fn, runs=7, *args, **kw):
-    fn(*args, **kw)  # warm-up
-    return statistics.median(timed(fn, *args, **kw)[1] for _ in range(runs))
-
-
-def median_cpu_ratio(slow, fast, runs):
-    """Median over *runs* rounds of slow()'s cost over fast()'s, for
-    single-thread handlers, in this thread's CPU time: time spent preempted
-    does not count. Each round times the two calls back to back, so a slow
-    stretch of the host hits both, and the collector is held off so that a
-    collection of other tests' garbage lands in neither."""
-    fast(), slow()  # warm-up
-    ratios = []
-    gc.disable()
-    try:
-        for _ in range(runs):
-            t0 = time.thread_time()
-            fast()
-            t1 = time.thread_time()
-            slow()
-            ratios.append((time.thread_time() - t1) / (t1 - t0))
-    finally:
-        gc.enable()
-    return statistics.median(ratios)
-
-
 # ------------------------------------------------------- unbalanced processing
 
 
@@ -82,21 +57,12 @@ def test_unbalanced_store_grows_one_per_request():
 
 def test_unbalanced_two_concurrent_monopolize_the_core():
     state, cfg = fresh(K.UNBALANCED_PROCESSING)
-    single = median_ms(handle_unbalanced_processing, 5, state, cfg)
 
     def call():
         handle_unbalanced_processing(state, cfg)
 
-    walls = []
-    for _ in range(5):
-        threads = [threading.Thread(target=call) for _ in range(2)]
-        t0 = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        walls.append((time.perf_counter() - t0) * 1000.0)
-    assert statistics.median(walls) >= 1.8 * single
+    ratio = median_round_ratio(lambda: concurrently(call, 2), call, 5, time.perf_counter)
+    assert ratio >= 1.8
 
 
 def test_unbalanced_elapsed_grows_with_store():
@@ -130,10 +96,11 @@ def test_unnecessary_zero_iterations_is_baseline_fast():
 
 def test_unnecessary_work_scales_linearly():
     state, cfg = fresh(K.UNNECESSARY_PROCESSING)
-    ratio = median_cpu_ratio(
+    ratio = median_round_ratio(
         lambda: handle_unnecessary_processing(state, cfg, 60_000),
         lambda: handle_unnecessary_processing(state, cfg, 30_000),
         7,
+        time.thread_time,
     )
     assert 1.6 <= ratio <= 2.4
 
@@ -202,10 +169,11 @@ def test_sisyphus_scales_with_fixture():
     state1, cfg1 = fresh(K.SISYPHUS_RETRIEVAL, dataset_scale=1)
     state3, cfg3 = fresh(K.SISYPHUS_RETRIEVAL, dataset_scale=3)
     assert handle_sisyphus_retrieval(state3, cfg3)["scanned_count"] == 2490
-    ratio = median_cpu_ratio(
+    ratio = median_round_ratio(
         lambda: handle_sisyphus_retrieval(state3, cfg3),
         lambda: handle_sisyphus_retrieval(state1, cfg1),
         9,
+        time.thread_time,
     )
     assert 1.5 <= ratio <= 4.5  # ~3x, generous timing margin
 
@@ -223,8 +191,16 @@ def test_sisyphus_rejects_bad_paging():
 
 def test_more_is_less_single_worker_matches_inline_run():
     state, cfg = fresh(K.MORE_IS_LESS)
-    body = handle_more_is_less(state, cfg, workers=1, iterations=60_000)
-    assert body["multi_time_ms"] == pytest.approx(body["single_time_ms"], rel=0.35)
+    n = 60_000
+    # a reply runs a one-worker pass and then an inline pass of n steps, so
+    # its cost over one inline pass is 1 + the one-worker pass's over it
+    ratio = median_round_ratio(
+        lambda: handle_more_is_less(state, cfg, workers=1, iterations=n),
+        lambda: trig_loop(n),
+        11,
+        time.perf_counter,
+    )
+    assert ratio - 1 == pytest.approx(1.0, rel=0.35)
 
 
 def test_more_is_less_oversubscription_never_wins():
@@ -375,23 +351,17 @@ def test_bridge_single_caller():
 
 def test_bridge_serializes_concurrent_callers():
     state, cfg = fresh(K.ONE_LANE_BRIDGE)
-    single = median_ms(handle_one_lane_bridge, 5, state, cfg)
-    n = 4
+    n, rounds = 4, 5
 
     def call():
         handle_one_lane_bridge(state, cfg)
 
-    threads = [threading.Thread(target=call) for _ in range(n)]
-    t0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    makespan = (time.perf_counter() - t0) * 1000.0
-    assert makespan >= 0.8 * n * single
+    ratio = median_round_ratio(lambda: concurrently(call, n), call, rounds, time.perf_counter)
+    assert ratio >= 0.8 * n
     with state.bridge.meta:
         assert state.bridge.max_occupancy == 1
-    assert state.bridge.counter == 5 + 1 + n  # median_ms warm-up + runs + these
+    # the warm-up round and each timed round: one crossing, then n at once
+    assert state.bridge.counter == (1 + rounds) * (1 + n)
 
 
 def test_bridge_counter_exact_under_stress():
