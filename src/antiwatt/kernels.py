@@ -1,16 +1,15 @@
 """CPU-bound work kernels shared by the antipattern handlers.
 
-Each kernel takes an iteration count so handlers can be tuned (or
-auto-calibrated at service startup) to a target single-request service
-time. Return values exist only to keep the interpreter from optimizing
-anything away; callers discard them.
+Each kernel takes an iteration count, so a workload's configured
+iterations set its single-request service time. Return values exist only
+to keep the interpreter from optimizing anything away; callers discard
+them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import time
 
 
 def hash_rounds(n: int, payload: bytes = b"antiwatt") -> bytes:
@@ -52,23 +51,3 @@ def _is_probably_prime(k: int) -> bool:
             return False
         d += 2
     return True
-
-
-def calibrate_iterations(kernel, target_ms: float, probe: int = 2000, max_iterations: int = 50_000_000) -> int:
-    """Scale a kernel's iteration count to hit ``target_ms`` per call.
-
-    Times a short probe run and extrapolates linearly (all kernels are
-    linear in their iteration count). The probe is repeated once if the
-    first measurement is implausibly fast, which happens on warm-up.
-    """
-    if target_ms <= 0:
-        raise ValueError("target_ms must be positive")
-    kernel(min(probe, 256))  # warm caches / JIT-free but primes branch predictors
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        kernel(probe)
-        best = min(best, time.perf_counter() - t0)
-    per_iter = max(best / probe, 1e-10)
-    scaled = int(target_ms / 1000.0 / per_iter)
-    return max(1, min(scaled, max_iterations))

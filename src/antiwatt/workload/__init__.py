@@ -7,7 +7,6 @@ from .config import (
     SLUG_TO_KIND,
     AntipatternKind,
     WorkloadConfig,
-    config_from_dict,
     default_config,
 )
 
@@ -16,7 +15,7 @@ from .config import (
 _LAZY = {
     "handlers": ("WorkloadFailure", "WorkResponse"),
     "state": ("ServiceState", "make_state"),
-    "service": ("calibrate_config", "dispatch", "execute", "run_service", "serve"),
+    "service": ("dispatch", "execute", "run_service", "serve"),
 }
 
 
@@ -36,8 +35,6 @@ __all__ = [
     "WorkResponse",
     "WorkloadConfig",
     "WorkloadFailure",
-    "calibrate_config",
-    "config_from_dict",
     "default_config",
     "dispatch",
     "execute",

@@ -6,9 +6,10 @@ the experiment design: 50 concurrent users except the three workloads whose
 response times would explode (Unbalanced Processing at 10, Unnecessary
 Processing and Traffic Jam at 30).
 
-Iteration defaults are calibrated so a single request costs tens of
-milliseconds on a desktop-class core; every knob is overridable and the
-service's --calibrate-target-ms flag rescales the primary count at startup.
+Iteration defaults are set so a single request costs tens of milliseconds
+on a desktop-class core. Every knob is overridable, and the service takes
+them only from the flags service_argv emits, so every service a campaign
+starts does the work its plan names.
 """
 from __future__ import annotations
 
@@ -106,15 +107,9 @@ class WorkloadConfig:
 
 
 def default_config(kind: AntipatternKind, **overrides) -> WorkloadConfig:
-    """The calibrated default configuration for *kind*, with overrides."""
+    """The default configuration for *kind*, with overrides."""
     cfg = WorkloadConfig(kind=kind, iterations=DEFAULT_ITERATIONS[kind])
     return replace(cfg, **overrides) if overrides else cfg
-
-
-def config_from_dict(data: dict) -> WorkloadConfig:
-    kind = AntipatternKind(data["kind"])
-    fields = {k: v for k, v in data.items() if k != "kind"}
-    return WorkloadConfig(kind=kind, **fields)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -132,12 +127,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window-period-s", type=float, default=None, help="TrafficJam period")
     parser.add_argument("--heavy-fraction", type=float, default=None)
     parser.add_argument("--pin-core", default="auto", help="core id, 'auto', or 'off'")
-    parser.add_argument(
-        "--calibrate-target-ms",
-        type=float,
-        default=None,
-        help="rescale iterations so one request costs about this many ms",
-    )
     return parser
 
 

@@ -7,8 +7,8 @@ touched under their locks, and only One-Lane Bridge holds a lock across its
 actual work — that serialization is the antipattern itself, not an accident.
 
 Work amounts are expressed through ``config.iterations`` (kind-specific
-meaning) so a calibration pass can rescale them; per-request query overrides
-exist where a contract needs them (e.g. iterations=0 probes).
+meaning), which a campaign's plan sets; per-request query overrides exist
+where a contract needs them (e.g. iterations=0 probes).
 """
 from __future__ import annotations
 

@@ -21,15 +21,12 @@ import signal
 import sys
 import threading
 import time
-import zlib
-from dataclasses import replace
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qsl, urlsplit
 
 from ..errors import CapabilityError
-from ..kernels import busy_loop, calibrate_iterations, hash_rounds, trig_loop
 from .config import (
     AntipatternKind,
     WorkloadConfig,
@@ -281,46 +278,6 @@ def pin_to_core(choice: str) -> Optional[int]:
         return None
 
 
-def _eda_probe(n: int) -> int:
-    crc = 0
-    for i in range(n):
-        parts = ["%06d" % ((i * j) & 0xFFFF) for j in range(16)]
-        crc = zlib.crc32(("".join(parts)).encode("ascii"), crc)
-    return crc
-
-
-# per-kind calibration recipe: (kernel, handler work units per iteration unit)
-_CALIBRATION = {
-    AntipatternKind.UNBALANCED_PROCESSING: (hash_rounds, 0.5),
-    AntipatternKind.UNNECESSARY_PROCESSING: (trig_loop, 1.0),
-    AntipatternKind.MORE_IS_LESS: (trig_loop, 1.0),
-    AntipatternKind.GOD_CLASS: (hash_rounds, 1.0),
-    AntipatternKind.EXCESSIVE_DYNAMIC_ALLOCATION: (_eda_probe, 1.0),
-    AntipatternKind.CIRCUITOUS_TREASURE_HUNT: (hash_rounds, 28.0),
-    AntipatternKind.ONE_LANE_BRIDGE: (hash_rounds, 1.0),
-    AntipatternKind.TRAFFIC_JAM: (busy_loop, 1.0),
-}
-
-
-def calibrate_config(config: WorkloadConfig, target_ms: float) -> WorkloadConfig:
-    """Rescale config.iterations so one request costs ~target_ms here.
-
-    Data-driven handlers (TheRamp, Sisyphus) take their cost from state size
-    or fixture scale, not iterations; they are left untouched.
-    """
-    recipe = _CALIBRATION.get(config.kind)
-    if recipe is None:
-        logger.info("%s is not iteration-calibratable; leaving defaults", config.kind.value)
-        return config
-    kernel, units_per_iteration = recipe
-    kernel_iters = calibrate_iterations(kernel, target_ms, probe=2000)
-    scaled = max(1, int(kernel_iters / units_per_iteration))
-    logger.info(
-        "calibrated %s iterations: %d (target %.0f ms)", config.kind.value, scaled, target_ms
-    )
-    return replace(config, iterations=scaled)
-
-
 # ----------------------------------------------------------------- entrypoint
 
 
@@ -329,8 +286,6 @@ def run_service(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     config = config_from_args(args)
     pinned = pin_to_core(args.pin_core)
-    if args.calibrate_target_ms is not None:
-        config = calibrate_config(config, args.calibrate_target_ms)
     try:
         server = serve(config, host=args.host, port=args.port)
     except CapabilityError as exc:

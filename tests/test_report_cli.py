@@ -518,6 +518,15 @@ def test_service_argv_round_trips_through_the_service_parser(cfg):
     assert config_from_args(build_arg_parser().parse_args(service_argv(cfg, "off"))) == cfg
 
 
+def test_every_service_flag_is_one_a_campaign_passes_or_a_deployment_setting():
+    # a flag only `antiwatt serve` can pass would let a service do work its
+    # campaign's plan does not name
+    emitted = set(service_argv(default_config(AntipatternKind.GOD_CLASS), "off")[::2])
+    allowed = emitted | {"--host", "--port", "-h", "--help"}
+    for action in build_arg_parser()._actions:
+        assert set(action.option_strings) <= allowed, action.option_strings
+
+
 def test_cli_serve_announce_echoes_seed_and_scale(tmp_path):
     import json
     import signal

@@ -20,7 +20,7 @@ import pytest
 from antiwatt.errors import CapabilityError
 from antiwatt.fixture import generate_fixture
 from antiwatt.workload import AntipatternKind, default_config
-from antiwatt.workload.service import WorkloadHTTPHandler, calibrate_config, pin_to_core, serve
+from antiwatt.workload.service import WorkloadHTTPHandler, pin_to_core, serve
 from antiwatt.workload.state import make_state
 
 K = AntipatternKind
@@ -475,16 +475,3 @@ def test_pin_to_core_auto_uses_an_allowed_core():
         assert os.sched_getaffinity(0) == {core}
     finally:
         os.sched_setaffinity(0, before)
-
-
-def test_calibrate_scales_iteration_count():
-    cfg = default_config(K.UNNECESSARY_PROCESSING)
-    out = calibrate_config(cfg, target_ms=40.0)
-    probe = calibrate_config(cfg, target_ms=80.0)
-    assert out.iterations >= 1_000
-    assert 1.4 <= probe.iterations / out.iterations <= 2.6
-
-
-def test_calibrate_leaves_growth_patterns_alone(caplog):
-    cfg = default_config(K.THE_RAMP)
-    assert calibrate_config(cfg, target_ms=50.0) == cfg

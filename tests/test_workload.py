@@ -66,13 +66,23 @@ def test_unbalanced_two_concurrent_monopolize_the_core():
 
 
 def test_unbalanced_elapsed_grows_with_store():
-    state, cfg = fresh(K.UNBALANCED_PROCESSING, iterations=2000)
+    grown, cfg = fresh(K.UNBALANCED_PROCESSING, iterations=2000)
     elapsed = []
     for _ in range(100):
-        _, dt = timed(handle_unbalanced_processing, state, cfg)
+        _, dt = timed(handle_unbalanced_processing, grown, cfg)
         elapsed.append(dt)
-    assert elapsed[-1] > elapsed[0]
     assert spearman(list(range(100)), elapsed) > 0
+    # each round calls once on a store of about 100 items and once on an
+    # empty one; the empty stores are built here, one per call, not timed
+    rounds = 9
+    empty = iter([make_state(cfg) for _ in range(rounds + 1)])
+    ratio = median_round_ratio(
+        lambda: handle_unbalanced_processing(grown, cfg),
+        lambda: handle_unbalanced_processing(next(empty), cfg),
+        rounds,
+        time.thread_time,
+    )
+    assert ratio > 1
 
 
 def test_unbalanced_store_cap_flips_to_failure():
