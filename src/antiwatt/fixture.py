@@ -98,21 +98,6 @@ class RelationalFixture:
     order_ids_by_customer: dict[int, list[int]] = field(default_factory=dict, repr=False)
     detail_ids_by_order: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
-    def check_integrity(self) -> list[str]:
-        """Scan every foreign key; return a list of violations (empty = ok)."""
-        problems = []
-        for order in self.orders:
-            if order.customer_id not in self.customers_by_id:
-                problems.append(f"order {order.id} -> missing customer {order.customer_id}")
-        for det in self.order_details:
-            if det.order_id not in self.orders_by_id:
-                problems.append(f"order_detail {det.id} -> missing order {det.order_id}")
-            if det.product_id not in self.products_by_id:
-                problems.append(f"order_detail {det.id} -> missing product {det.product_id}")
-        for prod in self.products:
-            if prod.supplier_id not in self.suppliers_by_id:
-                problems.append(f"product {prod.id} -> missing supplier {prod.supplier_id}")
-        return problems
 
 
 def _derive_rng(seed: int, scale: int) -> random.Random:

@@ -126,7 +126,8 @@ def host_descriptor() -> dict:
         pass
     return {
         "core_count": os.cpu_count() or 1,
-        "platform": platform.platform(),
+        # platform.platform() would start a `uname -p` child for the processor
+        "platform": "-".join((platform.system(), platform.release(), platform.machine())),
         "python": platform.python_version(),
         "governor": governor,
     }

@@ -34,14 +34,9 @@ class SamplerResult:
     missed_ticks: int = 0
 
 
-class _NullResourceSampler:
-    def sample(self) -> None:
-        return None
-
-
 def run_sampler(
     power_source: PowerSource,
-    resource_sampler=None,
+    resource_sampler,
     stop_event: Optional[threading.Event] = None,
     interval_s: float = 1.0,
     rt_provider: Optional[Callable[[], Optional[float]]] = None,
@@ -59,8 +54,6 @@ def run_sampler(
         raise ValueError("interval_s must be positive")
     if stop_event is None:
         stop_event = threading.Event()
-    if resource_sampler is None:
-        resource_sampler = _NullResourceSampler()
     result = SamplerResult()
 
     try:
@@ -102,8 +95,7 @@ def run_sampler(
             logger.error("sampler backend failed, ending stream: %s", msg)
             result.errors.append(msg)
             break
-        if resource is not None:
-            result.resources.append(resource)
+        result.resources.append(resource)
         if power is not None:
             result.power.append(power)
     return result

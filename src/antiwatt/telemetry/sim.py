@@ -101,9 +101,7 @@ class SimPowerSource:
     def sample(
         self,
         t: float,
-        resource: Optional[ResourceSample],
+        resource: ResourceSample,
         rt_ms: Optional[float],
     ) -> PowerSample:
-        if resource is None:
-            resource = ResourceSample(t=t, cpu_util=0.0)
         return simulate_power(self.model, resource, rt_ms)

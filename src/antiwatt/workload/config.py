@@ -7,9 +7,10 @@ response times would explode (Unbalanced Processing at 10, Unnecessary
 Processing and Traffic Jam at 30).
 
 Iteration defaults are set so a single request costs tens of milliseconds
-on a desktop-class core. Every knob is overridable, and the service takes
-them only from the flags service_argv emits, so every service a campaign
-starts does the work its plan names.
+on a desktop-class core. A campaign sets a workload's kind, iterations and
+dataset seed and scale; the service takes them only from the flags
+service_argv emits, so every service a campaign starts does the work its
+plan names. The other per-kind parameters are module constants.
 """
 from __future__ import annotations
 
@@ -61,48 +62,41 @@ DEFAULT_ITERATIONS: Dict[AntipatternKind, int] = {
 }
 
 
+# fixed per-kind work parameters: no campaign varies them, so they are
+# constants, recorded in every trial's plan by WorkloadConfig.to_dict
+PAYLOAD_SIZE = 2048  # UnbalancedProcessing: random bytes per request
+WORKER_COUNT = 4  # MoreIsLess: threads, unless a request's ?workers= says otherwise
+WINDOW_PERIOD_S = 60.0  # TrafficJam: length of one heavy + normal cycle
+HEAVY_FRACTION = 0.25  # TrafficJam: share of each cycle that is heavy
+MAX_STORE_ITEMS = 10_000_000  # UnbalancedProcessing, TheRamp: store capacity
+RECENT_ORDERS = 5  # CircuitousTreasureHunt: how many orders are "recent"
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     kind: AntipatternKind
     iterations: int
-    payload_size: int = 2048
-    worker_count: int = 4  # MoreIsLess only
-    window_period_s: float = 60.0  # TrafficJam only
-    heavy_fraction: float = 0.25  # TrafficJam only
     dataset_seed: int = 1
     dataset_scale: int = 1
-    max_store_items: int = 10_000_000
-    recent_orders: int = 5  # CircuitousTreasureHunt: how many orders are "recent"
 
     def __post_init__(self) -> None:
-        counts = {
-            "iterations": self.iterations,
-            "payload_size": self.payload_size,
-            "worker_count": self.worker_count,
-            "dataset_scale": self.dataset_scale,
-            "max_store_items": self.max_store_items,
-            "recent_orders": self.recent_orders,
-        }
-        for name, value in counts.items():
+        for name in ("iterations", "dataset_scale"):
+            value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if not 0.0 < self.heavy_fraction < 1.0:
-            raise ValueError("heavy_fraction must be strictly between 0 and 1")
-        if self.window_period_s <= 0:
-            raise ValueError("window_period_s must be positive")
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,
             "iterations": self.iterations,
-            "payload_size": self.payload_size,
-            "worker_count": self.worker_count,
-            "window_period_s": self.window_period_s,
-            "heavy_fraction": self.heavy_fraction,
+            "payload_size": PAYLOAD_SIZE,
+            "worker_count": WORKER_COUNT,
+            "window_period_s": WINDOW_PERIOD_S,
+            "heavy_fraction": HEAVY_FRACTION,
             "dataset_seed": self.dataset_seed,
             "dataset_scale": self.dataset_scale,
-            "max_store_items": self.max_store_items,
-            "recent_orders": self.recent_orders,
+            "max_store_items": MAX_STORE_ITEMS,
+            "recent_orders": RECENT_ORDERS,
         }
 
 
@@ -122,10 +116,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1, help="dataset/rng seed")
     parser.add_argument("--scale", type=int, default=1, help="fixture scale multiplier")
     parser.add_argument("--iterations", type=int, default=None)
-    parser.add_argument("--payload-size", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None, help="MoreIsLess worker count")
-    parser.add_argument("--window-period-s", type=float, default=None, help="TrafficJam period")
-    parser.add_argument("--heavy-fraction", type=float, default=None)
     parser.add_argument("--pin-core", default="auto", help="core id, 'auto', or 'off'")
     return parser
 
@@ -134,14 +124,6 @@ def config_from_args(args: argparse.Namespace) -> WorkloadConfig:
     overrides = {"dataset_seed": args.seed, "dataset_scale": args.scale}
     if args.iterations is not None:
         overrides["iterations"] = args.iterations
-    if args.payload_size is not None:
-        overrides["payload_size"] = args.payload_size
-    if args.workers is not None:
-        overrides["worker_count"] = args.workers
-    if args.window_period_s is not None:
-        overrides["window_period_s"] = args.window_period_s
-    if args.heavy_fraction is not None:
-        overrides["heavy_fraction"] = args.heavy_fraction
     return default_config(SLUG_TO_KIND[args.antipattern], **overrides)
 
 
@@ -152,9 +134,5 @@ def service_argv(config: WorkloadConfig, pin_core: str) -> list[str]:
         "--seed", str(config.dataset_seed),
         "--scale", str(config.dataset_scale),
         "--iterations", str(config.iterations),
-        "--payload-size", str(config.payload_size),
-        "--workers", str(config.worker_count),
-        "--window-period-s", str(config.window_period_s),
-        "--heavy-fraction", str(config.heavy_fraction),
         "--pin-core", pin_core,
     ]

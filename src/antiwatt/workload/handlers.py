@@ -7,8 +7,9 @@ touched under their locks, and only One-Lane Bridge holds a lock across its
 actual work — that serialization is the antipattern itself, not an accident.
 
 Work amounts are expressed through ``config.iterations`` (kind-specific
-meaning), which a campaign's plan sets; per-request query overrides exist
-where a contract needs them (e.g. iterations=0 probes).
+meaning), which a campaign's plan sets, and the fixed per-kind constants of
+config.py; per-request query overrides exist where a contract needs them
+(e.g. iterations=0 probes).
 """
 from __future__ import annotations
 
@@ -22,7 +23,15 @@ from urllib.parse import parse_qsl
 
 from ..fixture import FixtureSession
 from ..kernels import busy_loop, hash_rounds, trig_loop
-from .config import WorkloadConfig
+from .config import (
+    HEAVY_FRACTION,
+    MAX_STORE_ITEMS,
+    PAYLOAD_SIZE,
+    RECENT_ORDERS,
+    WINDOW_PERIOD_S,
+    WORKER_COUNT,
+    WorkloadConfig,
+)
 from .state import ServiceState
 
 
@@ -62,7 +71,7 @@ def _resolve_n(config: WorkloadConfig, override: Optional[int]) -> int:
 
 def handle_unbalanced_processing(state: ServiceState, config: WorkloadConfig) -> dict:
     """Full synchronous pipeline per request, against an ever-growing store."""
-    payload = state.random_bytes(config.payload_size)
+    payload = state.random_bytes(PAYLOAD_SIZE)
     digest = hash_rounds(config.iterations // 2, payload=payload)
     # validate: full scan + checksum
     checksum = zlib.adler32(payload)
@@ -71,7 +80,7 @@ def handle_unbalanced_processing(state: ServiceState, config: WorkloadConfig) ->
     doubled = ordered + ordered
     _middle = doubled[len(ordered) // 2 : -(len(ordered) // 2)]
     with state.unbalanced_lock:
-        if len(state.unbalanced_store) >= config.max_store_items:
+        if len(state.unbalanced_store) >= MAX_STORE_ITEMS:
             raise WorkloadFailure(
                 {"error": "store capacity reached", "store_size": len(state.unbalanced_store)}
             )
@@ -96,7 +105,7 @@ def handle_the_ramp(state: ServiceState, config: WorkloadConfig) -> dict:
     item = state.random_hex(128)
     target = state.random_hex(8)  # two hex chars
     with state.ramp_lock:
-        if len(state.ramp_store) >= config.max_store_items:
+        if len(state.ramp_store) >= MAX_STORE_ITEMS:
             raise WorkloadFailure(
                 {"error": "store capacity reached", "store_size": len(state.ramp_store)}
             )
@@ -148,7 +157,7 @@ def handle_more_is_less(
     workers: Optional[int] = None,
     iterations: Optional[int] = None,
 ) -> dict:
-    w = config.worker_count if workers is None else workers
+    w = WORKER_COUNT if workers is None else workers
     if w < 1:
         raise ValueError("workers must be >= 1")
     n = _resolve_n(config, iterations)
@@ -280,7 +289,7 @@ def handle_circuitous_treasure_hunt(
             "lookups": session.lookups,
             "items": [],
         }
-    order_ids = session.recent_order_ids(customer_id, limit=config.recent_orders)
+    order_ids = session.recent_order_ids(customer_id, limit=RECENT_ORDERS)
     items = []
     for oid in order_ids:
         for did in session.detail_ids_for_order(oid):
@@ -334,8 +343,8 @@ def handle_traffic_jam(
     """Heavy kernel inside the heavy window; debt from it lingers afterwards."""
     if now is None:
         now = time.time()
-    phase_pos = (now % config.window_period_s) / config.window_period_s
-    heavy = phase_pos < config.heavy_fraction
+    phase_pos = (now % WINDOW_PERIOD_S) / WINDOW_PERIOD_S
+    heavy = phase_pos < HEAVY_FRACTION
     consumed = 0.0
     with state.jam.lock:
         backlog_at_entry = state.jam.debt > 1e-9

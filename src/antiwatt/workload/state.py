@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -70,7 +69,6 @@ class ServiceState:
     config: WorkloadConfig
     fixture: Optional[RelationalFixture]  # None unless config.kind is in FIXTURE_KINDS
     rng: random.Random
-    started_at: float = field(default_factory=time.time)
     rng_lock: threading.Lock = field(default_factory=threading.Lock)
     # TheRamp's unbounded store: one item per completed request
     ramp_store: List[str] = field(default_factory=list)

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import platform
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from antiwatt.orchestrator import (
     ExperimentPlan,
     estimate_campaign_s,
     execute_trial,
+    host_descriptor,
     run_campaign,
 )
 from antiwatt.synthetic import EPOCH_BASE, generate_campaign, generate_trial, synthetic_plan
@@ -395,3 +398,21 @@ def test_campaign_continues_past_a_failing_trial(tmp_path, monkeypatch):
     lines = (tmp_path / "camp" / "manifest.txt").read_text().splitlines()
     assert lines[1].startswith("rep-1 failed launch:")
     assert real is not flaky  # the real one is restored by monkeypatch teardown
+
+
+def test_host_descriptor_starts_no_child_process():
+    # a fresh interpreter, so no platform cache filled by an earlier test
+    # hides a child process
+    code = (
+        "import json, subprocess\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise RuntimeError('child process started')\n"
+        "subprocess.Popen = refuse\n"
+        "from antiwatt.orchestrator import host_descriptor\n"
+        "print(json.dumps(host_descriptor()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    host = json.loads(proc.stdout)
+    assert host.keys() == host_descriptor().keys() == {"core_count", "platform", "python", "governor"}
+    assert host["platform"].startswith(platform.system())

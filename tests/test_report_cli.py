@@ -1,5 +1,6 @@
 """Report bundle serialization and the antiwatt CLI."""
 import csv
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from antiwatt.reporting import (
 )
 from antiwatt.stats.campaign import analyze_campaign
 from antiwatt.synthetic import generate_campaign, synthetic_plan
-from antiwatt.workload import AntipatternKind, default_config
+from antiwatt.workload import AntipatternKind, WorkloadConfig, default_config
 from antiwatt.workload.service import build_arg_parser, config_from_args, serve, service_argv
 
 
@@ -494,7 +495,7 @@ def test_cli_serve_delegates_all_flags(monkeypatch):
 
     monkeypatch.setattr("antiwatt.workload.service.run_service", fake_run_service)
     rc = cli.main(["serve", "--antipattern", "god-class", "--port", "8123",
-                   "--seed", "7", "--scale", "2", "--workers", "8",
+                   "--seed", "7", "--scale", "2", "--host", "127.0.0.2",
                    "--pin-core", "off"])
     assert rc == 0
     argv = seen["argv"]
@@ -503,7 +504,7 @@ def test_cli_serve_delegates_all_flags(monkeypatch):
     assert pairs["--port"] == "8123"
     assert pairs["--seed"] == "7"
     assert pairs["--scale"] == "2"
-    assert pairs["--workers"] == "8"
+    assert pairs["--host"] == "127.0.0.2"
     assert pairs["--pin-core"] == "off"
     assert "--iterations" not in pairs  # unset optionals stay unset
 
@@ -525,6 +526,22 @@ def test_every_service_flag_is_one_a_campaign_passes_or_a_deployment_setting():
     allowed = emitted | {"--host", "--port", "-h", "--help"}
     for action in build_arg_parser()._actions:
         assert set(action.option_strings) <= allowed, action.option_strings
+
+
+def test_every_workload_config_field_is_one_a_campaign_sets():
+    # the other per-kind parameters are constants in workload/config.py
+    names = [f.name for f in dataclasses.fields(WorkloadConfig)]
+    assert names == ["kind", "iterations", "dataset_seed", "dataset_scale"]
+
+
+def test_cli_serve_rejects_a_removed_flag():
+    proc = subprocess.run(
+        [sys.executable, "-m", "antiwatt", "serve", "--antipattern", "god-class",
+         "--workers", "8"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "--workers" in proc.stderr
 
 
 def test_cli_serve_announce_echoes_seed_and_scale(tmp_path):

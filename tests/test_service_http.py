@@ -19,7 +19,7 @@ import pytest
 
 from antiwatt.errors import CapabilityError
 from antiwatt.fixture import generate_fixture
-from antiwatt.workload import AntipatternKind, default_config
+from antiwatt.workload import AntipatternKind, default_config, handlers
 from antiwatt.workload.service import WorkloadHTTPHandler, pin_to_core, serve
 from antiwatt.workload.state import make_state
 
@@ -99,8 +99,9 @@ def test_god_class_malformed_query_over_http(running):
     assert payload["body_summary"]["error_count"] == 1
 
 
-def test_unbalanced_store_cap_maps_to_507(running):
-    base = running(K.UNBALANCED_PROCESSING, iterations=2, max_store_items=1)
+def test_unbalanced_store_cap_maps_to_507(running, monkeypatch):
+    monkeypatch.setattr(handlers, "MAX_STORE_ITEMS", 1)
+    base = running(K.UNBALANCED_PROCESSING, iterations=2)
     get_json(base + "/unbalanced-processing")
     with pytest.raises(HTTPError) as err:
         urlopen(base + "/unbalanced-processing", timeout=10)

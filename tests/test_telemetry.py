@@ -378,7 +378,7 @@ def test_run_sampler_stop_event_halts_promptly():
     def work():
         out_box["res"] = run_sampler(
             SimPowerSource(SimPowerModel()),
-            None,
+            StaticResources(FakeTime()),
             stop_event=stop,
             interval_s=0.05,
         )

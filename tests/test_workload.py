@@ -14,6 +14,7 @@ from antiwatt.workload import (
     default_config,
     dispatch,
     execute,
+    handlers,
     make_state,
 )
 from antiwatt.workload.handlers import (
@@ -85,8 +86,9 @@ def test_unbalanced_elapsed_grows_with_store():
     assert ratio > 1
 
 
-def test_unbalanced_store_cap_flips_to_failure():
-    state, cfg = fresh(K.UNBALANCED_PROCESSING, iterations=2, max_store_items=3)
+def test_unbalanced_store_cap_flips_to_failure(monkeypatch):
+    monkeypatch.setattr(handlers, "MAX_STORE_ITEMS", 3)
+    state, cfg = fresh(K.UNBALANCED_PROCESSING, iterations=2)
     for _ in range(3):
         handle_unbalanced_processing(state, cfg)
     with pytest.raises(WorkloadFailure):
@@ -342,8 +344,9 @@ def test_treasure_hunt_read_only_determinism():
     assert a == b
 
 
-def test_treasure_hunt_respects_recent_orders_limit():
-    state, cfg = fresh(K.CIRCUITOUS_TREASURE_HUNT, iterations=1, recent_orders=2)
+def test_treasure_hunt_respects_recent_orders_limit(monkeypatch):
+    monkeypatch.setattr(handlers, "RECENT_ORDERS", 2)
+    state, cfg = fresh(K.CIRCUITOUS_TREASURE_HUNT, iterations=1)
     state.fixture = make_hand_fixture()
     body = handle_circuitous_treasure_hunt(state, cfg, customer_id=1)
     assert body["orders"] == 2
@@ -392,10 +395,8 @@ def test_bridge_counter_exact_under_stress():
 # ---------------------------------------------------------------- traffic jam
 
 
-def jam_state(period=60.0, frac=0.25, iterations=60_000):
-    return fresh(
-        K.TRAFFIC_JAM, window_period_s=period, heavy_fraction=frac, iterations=iterations
-    )
+def jam_state():
+    return fresh(K.TRAFFIC_JAM, iterations=60_000)
 
 
 def test_jam_normal_window_with_no_backlog_is_light():
